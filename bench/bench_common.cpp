@@ -31,7 +31,7 @@ support::Options standard_options(int argc, const char* const* argv,
                   "SELFISH_BENCH_FULL=1" +
                       (extra_help.empty() ? "" : ". " + extra_help));
   options.declare("epsilon", "0.001",
-                  "binary-search precision of Algorithm 1");
+                  "precision of Algorithm 1 (certified bracket width)");
   options.declare("solver", "vi",
                   "mean-payoff solver: vi | gs | pi | dense");
   options.declare("threads", "0",

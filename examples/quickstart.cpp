@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
               model.mdp.num_states(), model.mdp.num_actions(),
               model.mdp.num_transitions());
 
-  // 2. Run Algorithm 1: binary search over β, one mean-payoff solve per
-  //    step, yielding an ε-tight lower bound on the optimal ERRev and a
-  //    strategy achieving it.
+  // 2. Run Algorithm 1: a Newton search over β, one mean-payoff solve per
+  //    step, yielding a certified bracket of width < ε on the optimal
+  //    ERRev and a strategy achieving its lower end.
   analysis::AnalysisOptions analysis_options;
   analysis_options.epsilon = options.get_double("epsilon");
   const auto result = analysis::analyze(model, analysis_options);
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
               baselines::honest_errev(params.p));
   std::printf("chain quality drops from %.4f to %.4f under the attack\n",
               1.0 - params.p, 1.0 - result.errev_of_policy);
-  std::printf("(%d binary-search steps, %ld solver iterations, %.2f s)\n",
+  std::printf("(%d search steps, %ld solver iterations, %.2f s)\n",
               result.search_iterations, result.solver_iterations,
               result.seconds);
   return 0;

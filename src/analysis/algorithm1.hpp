@@ -1,23 +1,57 @@
 // Algorithm 1 of the paper: the fully automated formal analysis.
 //
-// Binary search over β ∈ [0, 1]: each step solves the mean-payoff MDP for
-// the reward r_β = (1−β)·adversary − β·honest. By Theorem 3.1, MP*_β is
-// monotonically decreasing in β with root exactly at β* = ERRev*, so after
-// the search narrows [β_lo, β_hi] below ε,
+// Each step solves the mean-payoff MDP for the reward
+// r_β = (1−β)·adversary − β·honest. By Theorem 3.1,
 //
-//   ERRev = β_lo ∈ [ERRev* − ε, ERRev*]
+//   MP*(β) = max_σ [A(σ) − β·T(σ)]
 //
-// and the optimal strategy for r_{β_lo} achieves ERRev(σ) within the same
-// band. On top of the paper's algorithm we (a) warm-start the value vector
-// across binary-search steps (the solves differ only in β, so values barely
-// move), (b) evaluate the *exact* ERRev of the returned strategy via
-// the stationary counter rates g_A/(g_A+g_H), and (c) run every vi/gs
-// solve on one mdp::BellmanKernel built per analysis — the SoA view with
-// the β-reward fused into the backup, whose sweeps fan out over
+// (A the adversary's finalization rate, T the total rate) is convex,
+// piecewise linear and decreasing in β, with its root exactly at
+// β* = ERRev*. Every answer is a certified bracket
+//
+//   ERRev* ∈ [β_lo, β_hi],  β_hi − β_lo < ε,
+//
+// plus a strategy σ with ERRev(σ) ≥ β_lo. Both ends rest on certified
+// gain bounds [gain_lo, gain_hi] of a solve, never on its midpoint:
+//
+//  * an upper end b is certified by a solve at b with gain_hi < 0
+//    (MP*(b) < 0, so β* < b);
+//  * a lower end is the exact ERRev of a held strategy (kNewton), or a β
+//    whose solve has gain_lo ≥ 0, so that the greedy strategy of that
+//    solve achieves ERRev(σ) ≥ β (kBisect).
+//
+// When a solve's gain interval is too wide to decide a step (it straddles
+// 0 in kBisect, or a Newton step raises β_lo by less than ε/4), the
+// solver tolerance is tightened ×0.1 and the step re-solved, at most four
+// times per analysis.
+//
+// Two searches produce the bracket (AnalysisOptions::search):
+//
+//  * kNewton (default) — Dinkelbach's method (Management Science 13(7),
+//    1967), overshooting by ε/2. Start at β_lo = 0 with no strategy; each
+//    step solves at b = β_lo + ε/2. If a strategy is held and
+//    gain_hi < 0, return [β_lo, b]. Otherwise take the step's greedy
+//    strategy σ and its exact ratio r = ERRev(σ) = A(σ)/T(σ) — the Newton
+//    step on MP* from b — and set β_lo = r. The first step always
+//    evaluates its ratio, so an immediate certificate (p = 0) returns
+//    [r, ε/2]. Superlinear convergence: ~2–4 solves per answer at
+//    ε = 1e-3, and errev_lower_bound == β_lo == errev_of_policy exactly.
+//  * kBisect — the paper's binary search over [0, 1]: ⌈log2(1/ε)⌉ solves,
+//    dyadic brackets. A step moves β_hi on gain_hi < 0 and β_lo on
+//    gain_lo ≥ 0. The returned strategy is that of the last solve that
+//    moved β_lo (one extra solve at β = 0 only when β_lo never moved).
+//
+// Implementation: every solve warm-starts from the previous one's value
+// vector (the solves differ only in β, so values barely move), and every
+// vi/gs solve runs on one mdp::BellmanKernel built per analysis — the SoA
+// view with the β-reward fused into the backup, whose sweeps fan out over
 // AnalysisOptions::solver.threads workers with bit-identical results at
-// any thread count.
+// any thread count. Each solve is traced as one `analysis.step` span
+// carrying β, gain_lo, gain_hi, sweeps and the step's decision (newton,
+// certify, lo, hi or tighten).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "mdp/markov_chain.hpp"
@@ -26,28 +60,43 @@
 
 namespace analysis {
 
+enum class SearchMethod {
+  kNewton,  ///< Dinkelbach/Newton steps on MP*(β) (default).
+  kBisect,  ///< The paper's binary search over β ∈ [0, 1].
+};
+
+/// Parses "newton" | "bisect"; throws support::InvalidArgument otherwise.
+SearchMethod parse_search_method(const std::string& name);
+const char* to_string(SearchMethod method);
+
 struct AnalysisOptions {
-  /// Binary-search precision ε on β (and hence on ERRev).
+  /// Precision ε: the certified bracket on ERRev* is narrower than ε.
   double epsilon = 1e-3;
-  /// Mean-payoff solver configuration for each binary-search step.
+  /// How the bracket is searched (see the header comment).
+  SearchMethod search = SearchMethod::kNewton;
+  /// Mean-payoff solver configuration for each search step.
   mdp::SolveOptions solver;
-  /// Also evaluate the exact ERRev of the returned strategy (one
-  /// stationary-distribution solve; disable for pure-runtime benches).
+  /// kBisect only: also evaluate the exact ERRev of the returned strategy
+  /// (one stationary-distribution solve; disable for pure-runtime
+  /// benches). kNewton evaluates every step's ratio as part of the search
+  /// and always fills errev_of_policy.
   bool evaluate_exact_errev = true;
 };
 
 struct AnalysisResult {
-  double errev_lower_bound = 0.0;  ///< β_lo: certified ε-tight lower bound.
+  double errev_lower_bound = 0.0;  ///< β_lo: certified lower bound.
   double beta_lo = 0.0;
-  double beta_hi = 1.0;
-  /// Exact ERRev(σ) of `policy` (g_A/(g_A+g_H)); NaN when not evaluated.
+  double beta_hi = 1.0;            ///< Certified upper bound on ERRev*.
+  /// Exact ERRev(σ) of `policy` (g_A/(g_A+g_H)), ≥ β_lo; NaN when not
+  /// evaluated (kBisect with evaluate_exact_errev = false).
   double errev_of_policy = 0.0;
   mdp::Policy policy;              ///< ε-optimal selfish-mining strategy.
-  int search_iterations = 0;       ///< Binary-search steps performed.
+  int search_iterations = 0;       ///< Mean-payoff solves performed.
   long solver_iterations = 0;      ///< Total inner solver iterations.
   double seconds = 0.0;            ///< Wall-clock time of the analysis.
-  std::vector<double> final_values;  ///< Value vector (warm start for
-                                     ///< related analyses, e.g. p-sweeps).
+  std::vector<double> final_values;  ///< Value vector of the last solve
+                                     ///< (warm start for related
+                                     ///< analyses, e.g. p-sweeps).
 };
 
 /// Runs Algorithm 1 on a built model. `warm_start`, if non-null and sized

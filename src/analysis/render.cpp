@@ -36,7 +36,7 @@ std::string render_analysis_report(const selfish::AttackParams& params,
       "ERRev* in [%.6f, %.6f]; strategy achieves %.6f "
       "(honest share: %.4f)\n",
       result.beta_lo, result.beta_hi, result.errev_of_policy, params.p);
-  report += format("%d binary-search steps, %ld solver iterations, %.3f s\n",
+  report += format("%d search steps, %ld solver iterations, %.3f s\n",
                    result.search_iterations, result.solver_iterations,
                    result.seconds);
   if (include_stats) {

@@ -35,9 +35,11 @@ std::string JobKey::hex() const {
 /// path at any thread count and gather mode (test_mdp_kernel), so none of
 /// those knobs can change a stored result. The sweep mode IS rendered —
 /// ordered and red-black Gauss–Seidel are distinct certified iterate
-/// paths that converge to different (equally certified) numbers.
+/// paths that converge to different (equally certified) numbers. So is
+/// the search method: Newton and bisection return different brackets.
 std::string solver_options_id(const analysis::AnalysisOptions& options) {
   std::string id = "eps=" + canonical_double(options.epsilon);
+  id += "|search=" + std::string(analysis::to_string(options.search));
   id += "|solver=" + mdp::to_string(options.solver.method);
   id += "|sweep=" + std::string(mdp::to_string(options.solver.tuning.sweep_mode));
   id += "|tol=" + canonical_double(options.solver.mean_payoff.tol);

@@ -8,8 +8,8 @@
 // (8 B) in the same CSR order — halving the bytes touched per transition.
 // The β-parameterized reward r_β(a) = adv(a) − β·tot(a) is rendered from
 // the precomputed `adv[]`/`tot[]` bases into a kernel-owned scratch once
-// per solve, so Algorithm 1's bisection allocates no reward vector per
-// step (the seed allocated one per bisection step).
+// per solve, so Algorithm 1's search allocates no reward vector per step
+// (the seed allocated one per search step).
 //
 // On top of the SoA layout, the hot gather v[targets[i]] — the one
 // latency-bound access in the sweep — is serviced three ways, selected
@@ -39,7 +39,7 @@
 // Value/scratch buffers are 64-byte aligned and chunk boundaries are
 // rounded to cache-line multiples, so concurrent chunk writes never
 // share a line. The worker pool and all scratch live for the kernel's
-// lifetime: a 30-step bisection through analysis::analyze spawns
+// lifetime: a 30-step search through analysis::analyze spawns
 // threads once and allocates per-solve nothing after the first solve.
 #pragma once
 
@@ -177,7 +177,7 @@ class BellmanKernel {
   /// The models average only ~1.5 transitions per action, so recomputing
   /// adv − β·tot inside every sweep would cost ~40% extra arithmetic;
   /// rendering once keeps the inner loop at one reward load (like the
-  /// legacy path) while still allocating nothing per bisection step —
+  /// legacy path) while still allocating nothing per search step —
   /// the scratch persists across the solves of one analysis.
   void fuse_rewards(double beta) const;
 

@@ -78,7 +78,7 @@ class Mdp {
   std::vector<double> beta_rewards(double beta) const;
 
   /// Same, written into `out` (resized to num_actions). Lets callers that
-  /// solve for many β values (Algorithm 1's bisection) reuse one buffer
+  /// solve for many β values (Algorithm 1's search) reuse one buffer
   /// instead of allocating a fresh vector per step.
   void beta_rewards_into(double beta, std::vector<double>& out) const;
 

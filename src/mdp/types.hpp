@@ -22,7 +22,7 @@ inline constexpr ActionId kInvalidAction =
 /// The selfish-mining analysis never needs the reward *value* at model
 /// construction time: the β-parameterized reward r_β = (1−β)·adversary −
 /// β·honest is derived from these counters on demand, so one model serves
-/// the entire binary search of Algorithm 1.
+/// the entire search of Algorithm 1.
 struct RewardCounts {
   std::uint16_t adversary = 0;
   std::uint16_t honest = 0;

@@ -52,7 +52,7 @@ struct MeanPayoffResult {
 /// immediate reward per global action id, e.g. Mdp::beta_rewards(β)).
 ///
 /// `warm_start`, if non-null and of size num_states, seeds the value vector
-/// (used by Algorithm 1 to reuse values across binary-search steps).
+/// (used by Algorithm 1 to reuse values across search steps).
 MeanPayoffResult value_iteration(const Mdp& mdp,
                                  const std::vector<double>& action_reward,
                                  const MeanPayoffOptions& options = {},

@@ -1,11 +1,14 @@
 // The formal analysis procedure (Algorithm 1): ε-tightness, consistency
-// between the certified bound and the exact policy evaluation, and the
-// monotone structure it relies on (Theorem 3.1).
+// between the certified bound and the exact policy evaluation, agreement
+// of the Newton and bisection searches, and the monotone structure they
+// rely on (Theorem 3.1).
 #include <gtest/gtest.h>
 
 #include "support/check.hpp"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "analysis/algorithm1.hpp"
 #include "analysis/errev.hpp"
@@ -35,6 +38,7 @@ TEST(Algorithm1, BoundIsEpsilonTight) {
 TEST(Algorithm1, SearchIterationsMatchEpsilon) {
   const auto model = small_model();
   analysis::AnalysisOptions options;
+  options.search = analysis::SearchMethod::kBisect;
   options.epsilon = 1.0 / 64.0;
   const auto result = analysis::analyze(model, options);
   // The loop keeps halving while β_hi − β_lo ≥ ε: widths 1, …, 2⁻⁶ all
@@ -119,6 +123,7 @@ TEST(Algorithm1, WarmStartPreservesResult) {
 TEST(Algorithm1, SkippingExactEvaluationYieldsNaN) {
   const auto model = small_model();
   analysis::AnalysisOptions options;
+  options.search = analysis::SearchMethod::kBisect;
   options.epsilon = 1e-2;
   options.evaluate_exact_errev = false;
   const auto result = analysis::analyze(model, options);
@@ -132,6 +137,144 @@ TEST(Algorithm1, RejectsBadEpsilon) {
   EXPECT_THROW(analysis::analyze(model, options), support::InvalidArgument);
   options.epsilon = 1.0;
   EXPECT_THROW(analysis::analyze(model, options), support::InvalidArgument);
+}
+
+analysis::AnalysisOptions search_options(analysis::SearchMethod search,
+                                         double epsilon = 1e-3) {
+  analysis::AnalysisOptions options;
+  options.search = search;
+  options.epsilon = epsilon;
+  return options;
+}
+
+void expect_overlap(const analysis::AnalysisResult& a,
+                    const analysis::AnalysisResult& b,
+                    const std::string& where) {
+  EXPECT_LE(a.beta_lo, b.beta_hi) << where;
+  EXPECT_LE(b.beta_lo, a.beta_hi) << where;
+}
+
+/// The Newton answer's contract: its lower end is the returned strategy's
+/// own exact ratio, and the bracket is narrower than ε.
+void expect_newton_contract(const analysis::AnalysisResult& r, double epsilon,
+                            const std::string& where) {
+  EXPECT_EQ(r.errev_lower_bound, r.beta_lo) << where;
+  EXPECT_EQ(r.errev_of_policy, r.beta_lo) << where;
+  EXPECT_LT(r.beta_lo, r.beta_hi) << where;
+  EXPECT_LT(r.beta_hi - r.beta_lo, epsilon) << where;
+}
+
+struct SearchCase {
+  double p, gamma;
+  int d, f;
+};
+
+class NewtonVersusBisect : public ::testing::TestWithParam<SearchCase> {};
+
+TEST_P(NewtonVersusBisect, BracketsOverlap) {
+  const SearchCase c = GetParam();
+  const auto model = selfish::build_model(selfish::AttackParams{
+      .p = c.p, .gamma = c.gamma, .d = c.d, .f = c.f, .l = 4});
+  const auto newton =
+      analysis::analyze(model, search_options(analysis::SearchMethod::kNewton));
+  const auto bisect =
+      analysis::analyze(model, search_options(analysis::SearchMethod::kBisect));
+  const std::string where = "p=" + std::to_string(c.p) +
+                            " gamma=" + std::to_string(c.gamma) +
+                            " d=" + std::to_string(c.d) +
+                            " f=" + std::to_string(c.f);
+  expect_overlap(newton, bisect, where);
+  expect_newton_contract(newton, 1e-3, where);
+  EXPECT_LT(bisect.beta_hi - bisect.beta_lo, 1e-3) << where;
+  EXPECT_GE(bisect.errev_of_policy, bisect.beta_lo) << where;
+  // Newton's strategy is certified no worse than bisection's lower end.
+  EXPECT_GE(newton.errev_of_policy, bisect.beta_lo) << where;
+}
+
+// Every GoldenValues configuration plus the d=3,f=2 deep point.
+INSTANTIATE_TEST_SUITE_P(
+    GoldenPoints, NewtonVersusBisect,
+    ::testing::Values(SearchCase{0.3, 0.0, 1, 1}, SearchCase{0.3, 0.5, 1, 1},
+                      SearchCase{0.3, 1.0, 1, 1}, SearchCase{0.3, 0.0, 2, 1},
+                      SearchCase{0.3, 0.5, 2, 1}, SearchCase{0.3, 1.0, 2, 1},
+                      SearchCase{0.3, 0.0, 2, 2}, SearchCase{0.3, 0.5, 2, 2},
+                      SearchCase{0.3, 0.75, 2, 2}, SearchCase{0.2, 0.5, 2, 2},
+                      SearchCase{0.1, 0.5, 2, 1}, SearchCase{0.3, 0.5, 3, 2}),
+    [](const ::testing::TestParamInfo<SearchCase>& info) {
+      const auto& c = info.param;
+      return "d" + std::to_string(c.d) + "f" + std::to_string(c.f) + "g" +
+             std::to_string(static_cast<int>(c.gamma * 100)) + "p" +
+             std::to_string(static_cast<int>(c.p * 100));
+    });
+
+TEST(Algorithm1, NewtonTakesFewSteps) {
+  for (const auto& [d, f] : {std::pair{2, 1}, std::pair{3, 2}}) {
+    const auto model = selfish::build_model(
+        selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = d, .f = f, .l = 4});
+    const auto result =
+        analysis::analyze(model, search_options(analysis::SearchMethod::kNewton));
+    EXPECT_LE(result.search_iterations, 5) << "d=" << d << " f=" << f;
+    expect_newton_contract(result, 1e-3,
+                           "d=" + std::to_string(d) + " f=" + std::to_string(f));
+  }
+}
+
+TEST(Algorithm1, NewtonCertifiesAtOnceWithoutResources) {
+  // p = 0: the adversary never finalizes a block, so the first solve's
+  // strategy has ratio 0 and its gain at ε/2 is already negative.
+  const auto model = small_model(0.0);
+  const auto result =
+      analysis::analyze(model, search_options(analysis::SearchMethod::kNewton));
+  EXPECT_EQ(result.search_iterations, 1);
+  EXPECT_EQ(result.beta_lo, 0.0);
+  EXPECT_EQ(result.beta_hi, 0.5e-3);
+  expect_newton_contract(result, 1e-3, "p=0");
+}
+
+TEST(Algorithm1, TinyEpsilonTerminatesCertified) {
+  // At ε = 1e-6 the default tol (1e-7) is too loose to decide some
+  // bisection steps near the root, which must tighten and re-solve
+  // instead of guessing.
+  const auto model = small_model();
+  const auto newton = analysis::analyze(
+      model, search_options(analysis::SearchMethod::kNewton, 1e-6));
+  const auto bisect = analysis::analyze(
+      model, search_options(analysis::SearchMethod::kBisect, 1e-6));
+  expect_newton_contract(newton, 1e-6, "newton eps=1e-6");
+  EXPECT_LT(bisect.beta_hi - bisect.beta_lo, 1e-6);
+  EXPECT_GE(bisect.errev_of_policy, bisect.beta_lo);
+  expect_overlap(newton, bisect, "eps=1e-6");
+  // Bisection needs ⌈log2(1e6)⌉ = 20 bracket moves; a tightened step
+  // re-solves at the same β and counts as one more.
+  EXPECT_GT(bisect.search_iterations, 20);
+}
+
+TEST(Algorithm1, LooseToleranceStillBracketsTheTightAnswer) {
+  const auto model = small_model();
+  const auto tight =
+      analysis::analyze(model, search_options(analysis::SearchMethod::kNewton));
+  for (const auto search :
+       {analysis::SearchMethod::kBisect, analysis::SearchMethod::kNewton}) {
+    auto loose = search_options(search);
+    loose.solver.mean_payoff.tol = 1e-4;
+    const auto result = analysis::analyze(model, loose);
+    const std::string where = analysis::to_string(search);
+    EXPECT_LT(result.beta_hi - result.beta_lo, 1e-3) << where;
+    EXPECT_GE(result.errev_of_policy, result.beta_lo) << where;
+    expect_overlap(result, tight, where);
+  }
+}
+
+TEST(Algorithm1, SearchMethodParsing) {
+  EXPECT_EQ(analysis::parse_search_method("newton"),
+            analysis::SearchMethod::kNewton);
+  EXPECT_EQ(analysis::parse_search_method("bisect"),
+            analysis::SearchMethod::kBisect);
+  EXPECT_THROW(analysis::parse_search_method("golden"),
+               support::InvalidArgument);
+  EXPECT_STREQ(analysis::to_string(analysis::SearchMethod::kBisect), "bisect");
+  EXPECT_EQ(analysis::AnalysisOptions{}.search,
+            analysis::SearchMethod::kNewton);
 }
 
 TEST(Algorithm1, ReportsTimings) {

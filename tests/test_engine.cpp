@@ -83,18 +83,38 @@ TEST(EngineKeys, PinAllInputsAndLineage) {
   EXPECT_NE(engine::analysis_chain_id(job), engine::analysis_chain_id(other));
 }
 
-TEST(EngineKeys, SaltV3InvalidatesPreRedBlackCaches) {
-  // The red-black Gauss–Seidel iterate path shipped with a salt bump
-  // 2→3: every canonical key must carry the v3 prefix (so all pre-PR
-  // store entries miss cleanly) and must never render the old one.
-  EXPECT_EQ(engine::kCodeVersionSalt, 3u);
+TEST(EngineKeys, SaltV4InvalidatesPreNewtonCaches) {
+  // The Newton search and the certified bisection shipped with a salt
+  // bump 3→4: every canonical key must carry the v4 prefix (so all
+  // bisection-era store entries miss cleanly) and must never render the
+  // old one.
+  EXPECT_EQ(engine::kCodeVersionSalt, 4u);
   engine::AnalysisJob job;
   job.params = base_params();
   job.params.p = 0.2;
   job.options = quick_options();
   const engine::JobKey key = engine::analysis_job_key(job, nullptr);
-  EXPECT_EQ(key.canonical.rfind("analysis/v3|", 0), 0u) << key.canonical;
-  EXPECT_EQ(key.canonical.find("analysis/v2"), std::string::npos);
+  EXPECT_EQ(key.canonical.rfind("analysis/v4|", 0), 0u) << key.canonical;
+  EXPECT_EQ(key.canonical.find("analysis/v3"), std::string::npos);
+}
+
+TEST(EngineKeys, SearchMethodIsPartOfTheIdentity) {
+  // Newton and bisection certify different brackets of the same ERRev*,
+  // so the search method must split job identities and chains.
+  engine::AnalysisJob job;
+  job.params = base_params();
+  job.params.p = 0.2;
+  job.options = quick_options();
+  const engine::JobKey newton = engine::analysis_job_key(job, nullptr);
+  EXPECT_NE(newton.canonical.find("|search=newton|"), std::string::npos)
+      << newton.canonical;
+  engine::AnalysisJob bisect = job;
+  bisect.options.search = analysis::SearchMethod::kBisect;
+  const engine::JobKey bisected = engine::analysis_job_key(bisect, nullptr);
+  EXPECT_NE(bisected.canonical.find("|search=bisect|"), std::string::npos)
+      << bisected.canonical;
+  EXPECT_NE(newton.hash, bisected.hash);
+  EXPECT_NE(engine::analysis_chain_id(job), engine::analysis_chain_id(bisect));
 }
 
 TEST(EngineKeys, SweepModeIsPartOfTheIdentity) {

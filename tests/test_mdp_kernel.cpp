@@ -426,6 +426,8 @@ TEST(BellmanKernelRedBlack, AnalyzeAgreesWithOrderedWithinEpsilon) {
   // ERRev of the extracted policies agrees to solver tolerance.
   const auto model = build(2, 1);
   analysis::AnalysisOptions ordered, redblack;
+  ordered.search = analysis::SearchMethod::kBisect;
+  redblack.search = analysis::SearchMethod::kBisect;
   ordered.solver.method = mdp::SolverMethod::kGaussSeidel;
   redblack.solver.method = mdp::SolverMethod::kGaussSeidel;
   redblack.solver.tuning.sweep_mode = mdp::SweepMode::kRedBlack;

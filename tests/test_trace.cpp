@@ -4,6 +4,7 @@
 // this file pins the request-tree mechanics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/algorithm1.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -22,6 +24,7 @@
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
+#include "selfish/build.hpp"
 #include "support/parallel.hpp"
 
 namespace {
@@ -249,6 +252,74 @@ TEST(TraceDump, AnswersRequestRootedSpanTree) {
         << entry.span << " does not chain to serve.request";
   }
   obs::flight_reset();
+}
+
+/// The `analysis.step` spans of one analysis, in solve order, each parsed
+/// back from its flight-recorder attrs.
+std::vector<serve::Json> analysis_steps(const analysis::AnalysisOptions& options,
+                                        analysis::AnalysisResult& result) {
+  const auto model = selfish::build_model(
+      selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 2, .f = 1, .l = 4});
+  obs::flight_reset();
+  result = analysis::analyze(model, options);
+  std::vector<obs::FlightRecord> records = obs::flight_snapshot();
+  obs::flight_reset();
+  std::sort(records.begin(), records.end(),
+            [](const auto& a, const auto& b) { return a.start < b.start; });
+  std::vector<serve::Json> steps;
+  for (const obs::FlightRecord& record : records) {
+    if (std::strcmp(record.name, "analysis.step") == 0) {
+      steps.push_back(serve::Json::parse(record.attrs));
+    }
+  }
+  return steps;
+}
+
+TEST(AnalysisSpans, OneStepSpanPerSolveTellsTheSearch) {
+  const EnabledGuard on(true);
+  struct Case {
+    analysis::SearchMethod search;
+    double tol;
+    std::set<std::string> decisions;  ///< allowed before the last step
+    bool newton;                      ///< ends on a certify at β_hi
+    bool must_tighten;
+  };
+  // A loose tol makes the Newton steps near the root gain too little,
+  // so the search must tighten before it can certify.
+  const Case cases[] = {
+      {analysis::SearchMethod::kNewton, 1e-7, {"newton"}, true, false},
+      {analysis::SearchMethod::kNewton, 1e-3, {"newton", "tighten"}, true,
+       true},
+      {analysis::SearchMethod::kBisect, 1e-7, {"lo", "hi", "tighten"}, false,
+       false},
+  };
+  for (const Case& c : cases) {
+    analysis::AnalysisOptions options;
+    options.search = c.search;
+    options.solver.mean_payoff.tol = c.tol;
+    analysis::AnalysisResult result;
+    const std::vector<serve::Json> steps = analysis_steps(options, result);
+    const std::string where = std::string(analysis::to_string(c.search)) +
+                              " tol=" + std::to_string(c.tol);
+    ASSERT_EQ(steps.size(), static_cast<std::size_t>(result.search_iterations))
+        << where;
+    std::set<std::string> seen;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      for (const char* key : {"beta", "gain_lo", "gain_hi", "sweeps"}) {
+        EXPECT_NE(steps[i].find(key), nullptr) << where << " step " << i;
+      }
+      const std::string decision = steps[i].find("decision")->as_string();
+      seen.insert(decision);
+      if (c.newton && i + 1 == steps.size()) {
+        EXPECT_EQ(decision, "certify") << where;
+        EXPECT_EQ(steps[i].find("beta")->as_number(), result.beta_hi);
+      } else {
+        EXPECT_EQ(c.decisions.count(decision), 1u)
+            << where << " step " << i << ": " << decision;
+      }
+    }
+    EXPECT_EQ(seen.count("tighten"), c.must_tighten ? 1u : 0u) << where;
+  }
 }
 
 TEST(Log, LinesAreNdjsonAndRateLimited) {

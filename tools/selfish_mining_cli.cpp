@@ -94,6 +94,9 @@ void declare_model_options(support::Options& options) {
   options.declare("burn-lost-races", "false",
                   "fork-choice variant: discard forks that lose tie races");
   options.declare("epsilon", "0.001", "Algorithm 1 precision");
+  options.declare("search", "newton",
+                  "Algorithm 1 search over beta: newton (Dinkelbach steps, "
+                  "~2-4 solves) | bisect (the paper's binary search)");
   options.declare("solver", "vi", "mean-payoff solver: vi | gs | pi | dense");
   options.declare("sweep-mode", "ordered",
                   "gs iterate path: ordered (serial sweeps, certified "
@@ -160,6 +163,7 @@ analysis::AnalysisOptions analysis_from(const support::Options& options,
                                         int solver_threads = 1) {
   analysis::AnalysisOptions out;
   out.epsilon = options.get_double("epsilon");
+  out.search = analysis::parse_search_method(options.get_string("search"));
   out.solver.method = mdp::parse_solver_method(options.get_string("solver"));
   out.solver.threads = solver_threads;
   // --sweep-mode rides with the model/solver options (it is
