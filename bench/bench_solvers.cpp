@@ -364,7 +364,6 @@ void BM_Algorithm1(benchmark::State& state) {
                  static_cast<int>(state.range(1))));
   analysis::AnalysisOptions options;
   options.epsilon = 1e-3;
-  options.evaluate_exact_errev = false;
   options.solver.threads = static_cast<int>(state.range(2));
   for (auto _ : state) {
     const auto result = analysis::analyze(model, options);
@@ -377,13 +376,12 @@ BENCHMARK(BM_Algorithm1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_Algorithm1Legacy(benchmark::State& state) {
-  // The seed's path: AoS sweeps, a beta_rewards vector per bisection step.
+  // The seed's path: AoS sweeps, a beta_rewards vector per search step.
   const auto model = selfish::build_model(
       params_for(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1))));
   analysis::AnalysisOptions options;
   options.epsilon = 1e-3;
-  options.evaluate_exact_errev = false;
   options.solver.use_kernel = false;
   for (auto _ : state) {
     const auto result = analysis::analyze(model, options);
@@ -397,7 +395,6 @@ void BM_ExactErrevEvaluation(benchmark::State& state) {
   const auto model = selfish::build_model(params_for(2, 2));
   analysis::AnalysisOptions options;
   options.epsilon = 1e-2;
-  options.evaluate_exact_errev = false;
   const auto analysis = analysis::analyze(model, options);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::exact_errev(model, analysis.policy));

@@ -1,6 +1,5 @@
 #include "analysis/algorithm1.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -14,24 +13,12 @@ namespace analysis {
 
 namespace {
 
-/// A step whose gain interval cannot decide it re-solves with tol ×0.1;
-/// after this many tightenings in one analysis the solver cannot certify
-/// at this ε and the analysis fails instead of guessing.
+/// A step that gains under ε/4 re-solves with tol ×0.1; after this many
+/// tightenings in one analysis the solver cannot certify at this ε and the
+/// analysis fails instead of guessing.
 constexpr int kMaxTightenings = 4;
 
 }  // namespace
-
-SearchMethod parse_search_method(const std::string& name) {
-  if (name == "newton") return SearchMethod::kNewton;
-  if (name == "bisect") return SearchMethod::kBisect;
-  SM_REQUIRE(false, "unknown search method '", name,
-             "' (expected newton|bisect)");
-  return SearchMethod::kNewton;
-}
-
-const char* to_string(SearchMethod method) {
-  return method == SearchMethod::kBisect ? "bisect" : "newton";
-}
 
 AnalysisResult analyze(const selfish::SelfishModel& model,
                        const AnalysisOptions& options,
@@ -52,7 +39,7 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
   std::optional<mdp::BellmanKernel> kernel;
   if (kernel_path) kernel.emplace(m);
   std::vector<double> rewards;  // legacy-path buffer, reused across steps
-  mdp::SolveOptions solver = options.solver;  // tol tightens on straddles
+  mdp::SolveOptions solver = options.solver;  // tol tightens on slow steps
   int tightenings = 0;
 
   AnalysisResult result;
@@ -73,9 +60,13 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
     values.clear();
   }
 
-  // One search step: a certified mean-payoff solve at β, warm-started
-  // from the previous step's values, recorded on the step's span.
-  const auto solve_at = [&](double beta, obs::Span& span) {
+  const double overshoot = 0.5 * options.epsilon;
+  bool have_policy = false;
+  for (;;) {
+    // One search step: a certified mean-payoff solve at b = β_lo + ε/2,
+    // warm-started from the previous step's values.
+    const double beta = result.beta_lo + overshoot;
+    obs::Span span("analysis.step");
     const std::vector<double>* seed = values.empty() ? nullptr : &values;
     mdp::MeanPayoffResult solve;
     if (kernel_path) {
@@ -94,83 +85,40 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
     span.attr("gain_hi", serve::Json(solve.gain_hi));
     span.attr("sweeps",
               serve::Json(static_cast<std::int64_t>(solve.iterations)));
-    return solve;
-  };
-  const auto tighten = [&](double beta) {
-    SM_ENSURE(tightenings < kMaxTightenings,
-              "cannot certify a search step at beta=", beta, " with epsilon=",
-              options.epsilon, " after ", kMaxTightenings,
-              " solver tolerance tightenings (tol=",
-              solver.mean_payoff.tol, ")");
-    ++tightenings;
-    solver.mean_payoff.tol *= 0.1;
-  };
 
-  bool have_policy = false;
-  if (options.search == SearchMethod::kNewton) {
-    const double overshoot = 0.5 * options.epsilon;
-    for (;;) {
-      const double beta = result.beta_lo + overshoot;
-      obs::Span span("analysis.step");
-      mdp::MeanPayoffResult solve = solve_at(beta, span);
-      const bool below_root = solve.gain_hi < 0.0;  // certifies β* < β
-      if (below_root && have_policy) {
-        result.beta_hi = beta;
-        span.attr("decision", serve::Json("certify"));
-        break;
-      }
-      // Newton step: the greedy strategy's exact ratio is where the line
-      // A(σ) − β·T(σ) crosses 0, and an achievable lower bound. Its gain
-      // at β is ≥ gain_lo, so with a tight enough tol the ratio lands
-      // near or past β; a step that gains under ε/4 means tol is too
-      // loose for this ε.
-      const double ratio = exact_errev(model, solve.policy);
-      if (have_policy && ratio < result.beta_lo + 0.5 * overshoot) {
-        span.attr("decision", serve::Json("tighten"));
-        tighten(beta);
-        continue;
-      }
-      result.beta_lo = ratio;
-      result.policy = std::move(solve.policy);
-      have_policy = true;
-      if (below_root) {  // the first step certified at once (e.g. p = 0)
-        result.beta_hi = beta;
-        span.attr("decision", serve::Json("certify"));
-        break;
-      }
-      span.attr("decision", serve::Json("newton"));
+    const bool below_root = solve.gain_hi < 0.0;  // certifies β* < b
+    if (below_root && have_policy) {
+      result.beta_hi = beta;
+      span.attr("decision", serve::Json("certify"));
+      break;
     }
-    result.errev_of_policy = result.beta_lo;
-  } else {
-    while (result.beta_hi - result.beta_lo >= options.epsilon) {
-      const double beta = 0.5 * (result.beta_lo + result.beta_hi);
-      obs::Span span("analysis.step");
-      mdp::MeanPayoffResult solve = solve_at(beta, span);
-      if (solve.gain_hi < 0.0) {
-        result.beta_hi = beta;
-        span.attr("decision", serve::Json("hi"));
-      } else if (solve.gain_lo >= 0.0) {
-        // The greedy strategy's gain at β is ≥ gain_lo ≥ 0, so it
-        // achieves ERRev ≥ β: it is the ε-optimal strategy if β ends as
-        // β_lo (Theorem 3.1(2)).
-        result.beta_lo = beta;
-        result.policy = std::move(solve.policy);
-        have_policy = true;
-        span.attr("decision", serve::Json("lo"));
-      } else {
-        span.attr("decision", serve::Json("tighten"));
-        tighten(beta);
-      }
+    // Newton step: the greedy strategy's exact ratio is where the line
+    // A(σ) − β·T(σ) crosses 0, and an achievable lower bound. Its gain at
+    // b is ≥ gain_lo, so with a tight enough tol the ratio lands near or
+    // past b; a step that gains under ε/4 means tol is too loose for ε.
+    const double ratio = exact_errev(model, solve.policy);
+    if (have_policy && ratio < result.beta_lo + 0.5 * overshoot) {
+      span.attr("decision", serve::Json("tighten"));
+      SM_ENSURE(tightenings < kMaxTightenings,
+                "cannot certify a search step at beta=", beta,
+                " with epsilon=", options.epsilon, " after ",
+                kMaxTightenings, " solver tolerance tightenings (tol=",
+                solver.mean_payoff.tol, ")");
+      ++tightenings;
+      solver.mean_payoff.tol *= 0.1;
+      continue;
     }
-    if (!have_policy) {  // β_lo never moved; every strategy achieves ≥ 0
-      obs::Span span("analysis.step");
-      result.policy = solve_at(result.beta_lo, span).policy;
-      span.attr("decision", serve::Json("lo"));
+    result.beta_lo = ratio;
+    result.policy = std::move(solve.policy);
+    have_policy = true;
+    if (below_root) {  // the first step certified at once (e.g. p = 0)
+      result.beta_hi = beta;
+      span.attr("decision", serve::Json("certify"));
+      break;
     }
-    result.errev_of_policy = options.evaluate_exact_errev
-                                 ? exact_errev(model, result.policy)
-                                 : std::nan("");
+    span.attr("decision", serve::Json("newton"));
   }
+  result.errev_of_policy = result.beta_lo;
   SM_ENSURE(result.beta_lo < result.beta_hi, "empty bracket [",
             result.beta_lo, ", ", result.beta_hi, "]");
   result.errev_lower_bound = result.beta_lo;

@@ -7,51 +7,41 @@
 //
 // (A the adversary's finalization rate, T the total rate) is convex,
 // piecewise linear and decreasing in β, with its root exactly at
-// β* = ERRev*. Every answer is a certified bracket
+// β* = ERRev*. The paper finds the root by binary search over [0, 1]
+// (⌈log2(1/ε)⌉ solves). This implementation searches it by Newton steps
+// instead — Dinkelbach's method (Management Science 13(7), 1967) — which
+// overshoot by ε/2 and take ~2–4 solves per answer at ε = 1e-3:
 //
-//   ERRev* ∈ [β_lo, β_hi],  β_hi − β_lo < ε,
-//
-// plus a strategy σ with ERRev(σ) ≥ β_lo. Both ends rest on certified
-// gain bounds [gain_lo, gain_hi] of a solve, never on its midpoint:
-//
-//  * an upper end b is certified by a solve at b with gain_hi < 0
-//    (MP*(b) < 0, so β* < b);
-//  * a lower end is the exact ERRev of a held strategy (kNewton), or a β
-//    whose solve has gain_lo ≥ 0, so that the greedy strategy of that
-//    solve achieves ERRev(σ) ≥ β (kBisect).
-//
-// When a solve's gain interval is too wide to decide a step (it straddles
-// 0 in kBisect, or a Newton step raises β_lo by less than ε/4), the
-// solver tolerance is tightened ×0.1 and the step re-solved, at most four
-// times per analysis.
-//
-// Two searches produce the bracket (AnalysisOptions::search):
-//
-//  * kNewton (default) — Dinkelbach's method (Management Science 13(7),
-//    1967), overshooting by ε/2. Start at β_lo = 0 with no strategy; each
-//    step solves at b = β_lo + ε/2. If a strategy is held and
-//    gain_hi < 0, return [β_lo, b]. Otherwise take the step's greedy
-//    strategy σ and its exact ratio r = ERRev(σ) = A(σ)/T(σ) — the Newton
-//    step on MP* from b — and set β_lo = r. The first step always
+//  * start at β_lo = 0 with no strategy; each step solves at
+//    b = β_lo + ε/2, warm-started from the previous step's values;
+//  * if a strategy is held and the solve's gain_hi < 0, then MP*(b) < 0,
+//    so β* < b is certified: return [β_lo, b];
+//  * otherwise take the step's greedy strategy σ and its exact ratio
+//    r = ERRev(σ) = A(σ)/T(σ) — the Newton step on MP* from b, and an
+//    achievable lower bound — and set β_lo = r. The first step always
 //    evaluates its ratio, so an immediate certificate (p = 0) returns
-//    [r, ε/2]. Superlinear convergence: ~2–4 solves per answer at
-//    ε = 1e-3, and errev_lower_bound == β_lo == errev_of_policy exactly.
-//  * kBisect — the paper's binary search over [0, 1]: ⌈log2(1/ε)⌉ solves,
-//    dyadic brackets. A step moves β_hi on gain_hi < 0 and β_lo on
-//    gain_lo ≥ 0. The returned strategy is that of the last solve that
-//    moved β_lo (one extra solve at β = 0 only when β_lo never moved).
+//    [r, ε/2].
 //
-// Implementation: every solve warm-starts from the previous one's value
-// vector (the solves differ only in β, so values barely move), and every
-// vi/gs solve runs on one mdp::BellmanKernel built per analysis — the SoA
-// view with the β-reward fused into the backup, whose sweeps fan out over
-// AnalysisOptions::solver.threads workers with bit-identical results at
-// any thread count. Each solve is traced as one `analysis.step` span
-// carrying β, gain_lo, gain_hi, sweeps and the step's decision (newton,
-// certify, lo, hi or tighten).
+// Every answer is therefore a certified bracket
+//
+//   ERRev* ∈ [β_lo, β_hi],  β_hi − β_lo = ε/2 < ε,
+//
+// plus the strategy σ whose exact ERRev is β_lo itself
+// (errev_lower_bound == β_lo == errev_of_policy). The upper end rests on
+// a certified gain bound, never on a solve's midpoint. The greedy
+// strategy's gain at b is ≥ gain_lo, so with a tight enough solver
+// tolerance each step raises β_lo by about ε/2; a step that raises it by
+// less than ε/4 means tol is too loose for this ε, and the step is
+// re-solved with tol ×0.1, at most four times per analysis.
+//
+// Implementation: every vi/gs solve runs on one mdp::BellmanKernel built
+// per analysis — the SoA view with the β-reward fused into the backup,
+// whose sweeps fan out over AnalysisOptions::solver.threads workers with
+// bit-identical results at any thread count. Each solve is traced as one
+// `analysis.step` span carrying β, gain_lo, gain_hi, sweeps and the
+// step's decision (newton, certify or tighten).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "mdp/markov_chain.hpp"
@@ -60,26 +50,14 @@
 
 namespace analysis {
 
-enum class SearchMethod {
-  kNewton,  ///< Dinkelbach/Newton steps on MP*(β) (default).
-  kBisect,  ///< The paper's binary search over β ∈ [0, 1].
-};
-
-/// Parses "newton" | "bisect"; throws support::InvalidArgument otherwise.
-SearchMethod parse_search_method(const std::string& name);
-const char* to_string(SearchMethod method);
-
 struct AnalysisOptions {
   /// Precision ε: the certified bracket on ERRev* is narrower than ε.
   double epsilon = 1e-3;
-  /// How the bracket is searched (see the header comment).
-  SearchMethod search = SearchMethod::kNewton;
   /// Mean-payoff solver configuration for each search step.
   mdp::SolveOptions solver;
-  /// kBisect only: also evaluate the exact ERRev of the returned strategy
-  /// (one stationary-distribution solve; disable for pure-runtime
-  /// benches). kNewton evaluates every step's ratio as part of the search
-  /// and always fills errev_of_policy.
+  /// Has no effect: the search evaluates the exact ERRev of every step's
+  /// strategy, so errev_of_policy is always filled. Kept so that callers
+  /// which still set it compile; it is not part of a job's identity.
   bool evaluate_exact_errev = true;
 };
 
@@ -87,8 +65,7 @@ struct AnalysisResult {
   double errev_lower_bound = 0.0;  ///< β_lo: certified lower bound.
   double beta_lo = 0.0;
   double beta_hi = 1.0;            ///< Certified upper bound on ERRev*.
-  /// Exact ERRev(σ) of `policy` (g_A/(g_A+g_H)), ≥ β_lo; NaN when not
-  /// evaluated (kBisect with evaluate_exact_errev = false).
+  /// Exact ERRev(σ) of `policy` (g_A/(g_A+g_H)); equals β_lo.
   double errev_of_policy = 0.0;
   mdp::Policy policy;              ///< ε-optimal selfish-mining strategy.
   int search_iterations = 0;       ///< Mean-payoff solves performed.

@@ -28,7 +28,7 @@ struct SweepPoint {
   double seconds = 0.0;          ///< Solve wall-clock (cache hits replay
                                  ///< the original computation's time).
   std::size_t num_states = 0;
-  int search_iterations = 0;     ///< Binary-search steps of Algorithm 1.
+  int search_iterations = 0;     ///< Search steps (solves) of Algorithm 1.
   long solver_iterations = 0;    ///< Total inner solver iterations.
   bool cached = false;           ///< Served from the engine's store.
 };

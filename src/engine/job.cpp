@@ -35,17 +35,15 @@ std::string JobKey::hex() const {
 /// path at any thread count and gather mode (test_mdp_kernel), so none of
 /// those knobs can change a stored result. The sweep mode IS rendered —
 /// ordered and red-black Gauss–Seidel are distinct certified iterate
-/// paths that converge to different (equally certified) numbers. So is
-/// the search method: Newton and bisection return different brackets.
+/// paths that converge to different (equally certified) numbers.
+/// AnalysisOptions::evaluate_exact_errev is absent too: it has no effect.
 std::string solver_options_id(const analysis::AnalysisOptions& options) {
   std::string id = "eps=" + canonical_double(options.epsilon);
-  id += "|search=" + std::string(analysis::to_string(options.search));
   id += "|solver=" + mdp::to_string(options.solver.method);
   id += "|sweep=" + std::string(mdp::to_string(options.solver.tuning.sweep_mode));
   id += "|tol=" + canonical_double(options.solver.mean_payoff.tol);
   id += "|maxit=" + std::to_string(options.solver.mean_payoff.max_iterations);
   id += "|tau=" + canonical_double(options.solver.mean_payoff.tau);
-  id += "|exact=" + std::string(options.evaluate_exact_errev ? "1" : "0");
   return id;
 }
 

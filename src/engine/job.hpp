@@ -32,10 +32,10 @@ namespace engine {
 /// grew a `sweep=` token; bumping the salt makes every pre-v3 entry miss
 /// so cached artifacts never mix iterate paths. (Gather/prefetch tuning
 /// is byte-identical and deliberately NOT keyed, like `threads`.)
-/// v4: Algorithm 1 searches by Newton (Dinkelbach) steps by default, and
-/// bisection decides on certified gain bounds and returns the strategy of
-/// its last lower-end solve; stored brackets and strategies change, and
-/// job keys grew a `search=` token.
+/// v4: Algorithm 1 searches by Newton (Dinkelbach) steps instead of
+/// bisection, so stored brackets and strategies change; job keys lost the
+/// `exact=` token, since every answer now carries its strategy's exact
+/// ERRev.
 inline constexpr std::uint32_t kCodeVersionSalt = 4;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with

@@ -39,8 +39,8 @@
 // Value/scratch buffers are 64-byte aligned and chunk boundaries are
 // rounded to cache-line multiples, so concurrent chunk writes never
 // share a line. The worker pool and all scratch live for the kernel's
-// lifetime: a 30-step search through analysis::analyze spawns
-// threads once and allocates per-solve nothing after the first solve.
+// lifetime: the search steps of one analysis::analyze spawn threads
+// once and allocate nothing per solve after the first.
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,14 @@
 // The formal analysis procedure (Algorithm 1): ε-tightness, consistency
 // between the certified bound and the exact policy evaluation, agreement
-// of the Newton and bisection searches, and the monotone structure they
-// rely on (Theorem 3.1).
+// of the Newton search with the paper's binary search, and the monotone
+// structure both rely on (Theorem 3.1).
 #include <gtest/gtest.h>
 
 #include "support/check.hpp"
 
-#include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/algorithm1.hpp"
 #include "analysis/errev.hpp"
@@ -33,17 +33,6 @@ TEST(Algorithm1, BoundIsEpsilonTight) {
   // certified by the search (allowing solver tolerance slack).
   EXPECT_GE(result.errev_of_policy, result.beta_lo - 1e-5);
   EXPECT_LE(result.errev_of_policy, result.beta_hi + 1e-5);
-}
-
-TEST(Algorithm1, SearchIterationsMatchEpsilon) {
-  const auto model = small_model();
-  analysis::AnalysisOptions options;
-  options.search = analysis::SearchMethod::kBisect;
-  options.epsilon = 1.0 / 64.0;
-  const auto result = analysis::analyze(model, options);
-  // The loop keeps halving while β_hi − β_lo ≥ ε: widths 1, …, 2⁻⁶ all
-  // trigger another step, so [0,1] takes 7 solves to get below 2⁻⁶.
-  EXPECT_EQ(result.search_iterations, 7);
 }
 
 TEST(Algorithm1, TighterEpsilonNarrowsTheBand) {
@@ -120,16 +109,6 @@ TEST(Algorithm1, WarmStartPreservesResult) {
   EXPECT_LE(warm.solver_iterations, cold.solver_iterations);
 }
 
-TEST(Algorithm1, SkippingExactEvaluationYieldsNaN) {
-  const auto model = small_model();
-  analysis::AnalysisOptions options;
-  options.search = analysis::SearchMethod::kBisect;
-  options.epsilon = 1e-2;
-  options.evaluate_exact_errev = false;
-  const auto result = analysis::analyze(model, options);
-  EXPECT_TRUE(std::isnan(result.errev_of_policy));
-}
-
 TEST(Algorithm1, RejectsBadEpsilon) {
   const auto model = small_model();
   analysis::AnalysisOptions options;
@@ -139,25 +118,56 @@ TEST(Algorithm1, RejectsBadEpsilon) {
   EXPECT_THROW(analysis::analyze(model, options), support::InvalidArgument);
 }
 
-analysis::AnalysisOptions search_options(analysis::SearchMethod search,
-                                         double epsilon = 1e-3) {
+struct Bracket {
+  double lo = 0.0, hi = 1.0;
+};
+
+/// The paper's Algorithm 1 as written — binary search on β over [0, 1],
+/// one warm-started mean-payoff solve per step, on the AoS path rather
+/// than the kernel — as an independent reference for analysis::analyze.
+/// It decides each step on the certified gain bounds alone (gain_hi < 0
+/// moves hi, gain_lo ≥ 0 moves lo) and re-solves with tol ×0.1 when the
+/// gain interval straddles 0.
+Bracket paper_bisection(const selfish::SelfishModel& model, double epsilon) {
+  mdp::SolveOptions solver;
+  solver.use_kernel = false;
+  std::vector<double> values;
+  Bracket bracket;
+  int tightenings = 0;
+  while (bracket.hi - bracket.lo >= epsilon) {
+    const double beta = 0.5 * (bracket.lo + bracket.hi);
+    auto solve =
+        mdp::solve_mean_payoff(model.mdp, model.mdp.beta_rewards(beta), solver,
+                               values.empty() ? nullptr : &values);
+    values = std::move(solve.values);
+    if (solve.gain_hi < 0.0) {
+      bracket.hi = beta;
+    } else if (solve.gain_lo >= 0.0) {
+      bracket.lo = beta;
+    } else {
+      SM_ENSURE(++tightenings <= 4, "bisection cannot decide beta=", beta);
+      solver.mean_payoff.tol *= 0.1;
+    }
+  }
+  return bracket;
+}
+
+analysis::AnalysisOptions with_epsilon(double epsilon) {
   analysis::AnalysisOptions options;
-  options.search = search;
   options.epsilon = epsilon;
   return options;
 }
 
-void expect_overlap(const analysis::AnalysisResult& a,
-                    const analysis::AnalysisResult& b,
-                    const std::string& where) {
-  EXPECT_LE(a.beta_lo, b.beta_hi) << where;
-  EXPECT_LE(b.beta_lo, a.beta_hi) << where;
+template <typename A, typename B>
+void expect_overlap(const A& a, const B& b, const std::string& where) {
+  EXPECT_LE(a.beta_lo, b.hi) << where;
+  EXPECT_LE(b.lo, a.beta_hi) << where;
 }
 
-/// The Newton answer's contract: its lower end is the returned strategy's
-/// own exact ratio, and the bracket is narrower than ε.
-void expect_newton_contract(const analysis::AnalysisResult& r, double epsilon,
-                            const std::string& where) {
+/// The answer's contract: its lower end is the returned strategy's own
+/// exact ratio, and the bracket is narrower than ε.
+void expect_contract(const analysis::AnalysisResult& r, double epsilon,
+                     const std::string& where) {
   EXPECT_EQ(r.errev_lower_bound, r.beta_lo) << where;
   EXPECT_EQ(r.errev_of_policy, r.beta_lo) << where;
   EXPECT_LT(r.beta_lo, r.beta_hi) << where;
@@ -169,31 +179,25 @@ struct SearchCase {
   int d, f;
 };
 
-class NewtonVersusBisect : public ::testing::TestWithParam<SearchCase> {};
+class NewtonVersusBisection : public ::testing::TestWithParam<SearchCase> {};
 
-TEST_P(NewtonVersusBisect, BracketsOverlap) {
+TEST_P(NewtonVersusBisection, BracketsOverlap) {
   const SearchCase c = GetParam();
   const auto model = selfish::build_model(selfish::AttackParams{
       .p = c.p, .gamma = c.gamma, .d = c.d, .f = c.f, .l = 4});
-  const auto newton =
-      analysis::analyze(model, search_options(analysis::SearchMethod::kNewton));
-  const auto bisect =
-      analysis::analyze(model, search_options(analysis::SearchMethod::kBisect));
+  const auto newton = analysis::analyze(model, with_epsilon(1e-3));
+  const Bracket bisection = paper_bisection(model, 1e-3);
   const std::string where = "p=" + std::to_string(c.p) +
                             " gamma=" + std::to_string(c.gamma) +
                             " d=" + std::to_string(c.d) +
                             " f=" + std::to_string(c.f);
-  expect_overlap(newton, bisect, where);
-  expect_newton_contract(newton, 1e-3, where);
-  EXPECT_LT(bisect.beta_hi - bisect.beta_lo, 1e-3) << where;
-  EXPECT_GE(bisect.errev_of_policy, bisect.beta_lo) << where;
-  // Newton's strategy is certified no worse than bisection's lower end.
-  EXPECT_GE(newton.errev_of_policy, bisect.beta_lo) << where;
+  expect_overlap(newton, bisection, where);
+  expect_contract(newton, 1e-3, where);
 }
 
 // Every GoldenValues configuration plus the d=3,f=2 deep point.
 INSTANTIATE_TEST_SUITE_P(
-    GoldenPoints, NewtonVersusBisect,
+    GoldenPoints, NewtonVersusBisection,
     ::testing::Values(SearchCase{0.3, 0.0, 1, 1}, SearchCase{0.3, 0.5, 1, 1},
                       SearchCase{0.3, 1.0, 1, 1}, SearchCase{0.3, 0.0, 2, 1},
                       SearchCase{0.3, 0.5, 2, 1}, SearchCase{0.3, 1.0, 2, 1},
@@ -211,11 +215,10 @@ TEST(Algorithm1, NewtonTakesFewSteps) {
   for (const auto& [d, f] : {std::pair{2, 1}, std::pair{3, 2}}) {
     const auto model = selfish::build_model(
         selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = d, .f = f, .l = 4});
-    const auto result =
-        analysis::analyze(model, search_options(analysis::SearchMethod::kNewton));
+    const auto result = analysis::analyze(model, with_epsilon(1e-3));
     EXPECT_LE(result.search_iterations, 5) << "d=" << d << " f=" << f;
-    expect_newton_contract(result, 1e-3,
-                           "d=" + std::to_string(d) + " f=" + std::to_string(f));
+    expect_contract(result, 1e-3,
+                    "d=" + std::to_string(d) + " f=" + std::to_string(f));
   }
 }
 
@@ -223,58 +226,32 @@ TEST(Algorithm1, NewtonCertifiesAtOnceWithoutResources) {
   // p = 0: the adversary never finalizes a block, so the first solve's
   // strategy has ratio 0 and its gain at ε/2 is already negative.
   const auto model = small_model(0.0);
-  const auto result =
-      analysis::analyze(model, search_options(analysis::SearchMethod::kNewton));
+  const auto result = analysis::analyze(model, with_epsilon(1e-3));
   EXPECT_EQ(result.search_iterations, 1);
   EXPECT_EQ(result.beta_lo, 0.0);
   EXPECT_EQ(result.beta_hi, 0.5e-3);
-  expect_newton_contract(result, 1e-3, "p=0");
+  expect_contract(result, 1e-3, "p=0");
 }
 
 TEST(Algorithm1, TinyEpsilonTerminatesCertified) {
-  // At ε = 1e-6 the default tol (1e-7) is too loose to decide some
-  // bisection steps near the root, which must tighten and re-solve
-  // instead of guessing.
   const auto model = small_model();
-  const auto newton = analysis::analyze(
-      model, search_options(analysis::SearchMethod::kNewton, 1e-6));
-  const auto bisect = analysis::analyze(
-      model, search_options(analysis::SearchMethod::kBisect, 1e-6));
-  expect_newton_contract(newton, 1e-6, "newton eps=1e-6");
-  EXPECT_LT(bisect.beta_hi - bisect.beta_lo, 1e-6);
-  EXPECT_GE(bisect.errev_of_policy, bisect.beta_lo);
-  expect_overlap(newton, bisect, "eps=1e-6");
-  // Bisection needs ⌈log2(1e6)⌉ = 20 bracket moves; a tightened step
-  // re-solves at the same β and counts as one more.
-  EXPECT_GT(bisect.search_iterations, 20);
+  const auto newton = analysis::analyze(model, with_epsilon(1e-6));
+  expect_contract(newton, 1e-6, "eps=1e-6");
+  expect_overlap(newton, paper_bisection(model, 1e-6), "eps=1e-6");
 }
 
 TEST(Algorithm1, LooseToleranceStillBracketsTheTightAnswer) {
+  // A loose solver tolerance can make steps near the root gain too
+  // little, so the search tightens it; the bracket it certifies must
+  // still hold the tight answer.
   const auto model = small_model();
-  const auto tight =
-      analysis::analyze(model, search_options(analysis::SearchMethod::kNewton));
-  for (const auto search :
-       {analysis::SearchMethod::kBisect, analysis::SearchMethod::kNewton}) {
-    auto loose = search_options(search);
-    loose.solver.mean_payoff.tol = 1e-4;
-    const auto result = analysis::analyze(model, loose);
-    const std::string where = analysis::to_string(search);
-    EXPECT_LT(result.beta_hi - result.beta_lo, 1e-3) << where;
-    EXPECT_GE(result.errev_of_policy, result.beta_lo) << where;
-    expect_overlap(result, tight, where);
-  }
-}
-
-TEST(Algorithm1, SearchMethodParsing) {
-  EXPECT_EQ(analysis::parse_search_method("newton"),
-            analysis::SearchMethod::kNewton);
-  EXPECT_EQ(analysis::parse_search_method("bisect"),
-            analysis::SearchMethod::kBisect);
-  EXPECT_THROW(analysis::parse_search_method("golden"),
-               support::InvalidArgument);
-  EXPECT_STREQ(analysis::to_string(analysis::SearchMethod::kBisect), "bisect");
-  EXPECT_EQ(analysis::AnalysisOptions{}.search,
-            analysis::SearchMethod::kNewton);
+  const auto tight = analysis::analyze(model, with_epsilon(1e-3));
+  auto loose = with_epsilon(1e-3);
+  loose.solver.mean_payoff.tol = 1e-4;
+  const auto result = analysis::analyze(model, loose);
+  expect_contract(result, 1e-3, "tol=1e-4");
+  EXPECT_LE(result.beta_lo, tight.beta_hi);
+  EXPECT_LE(tight.beta_lo, result.beta_hi);
 }
 
 TEST(Algorithm1, ReportsTimings) {

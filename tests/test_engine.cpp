@@ -84,10 +84,9 @@ TEST(EngineKeys, PinAllInputsAndLineage) {
 }
 
 TEST(EngineKeys, SaltV4InvalidatesPreNewtonCaches) {
-  // The Newton search and the certified bisection shipped with a salt
-  // bump 3→4: every canonical key must carry the v4 prefix (so all
-  // bisection-era store entries miss cleanly) and must never render the
-  // old one.
+  // The Newton search shipped with a salt bump 3→4: every canonical key
+  // must carry the v4 prefix (so all bisection-era store entries miss
+  // cleanly) and must never render the old one.
   EXPECT_EQ(engine::kCodeVersionSalt, 4u);
   engine::AnalysisJob job;
   job.params = base_params();
@@ -98,23 +97,19 @@ TEST(EngineKeys, SaltV4InvalidatesPreNewtonCaches) {
   EXPECT_EQ(key.canonical.find("analysis/v3"), std::string::npos);
 }
 
-TEST(EngineKeys, SearchMethodIsPartOfTheIdentity) {
-  // Newton and bisection certify different brackets of the same ERRev*,
-  // so the search method must split job identities and chains.
+TEST(EngineKeys, ExactEvaluationFlagIsNotPartOfTheIdentity) {
+  // Every answer carries its strategy's exact ERRev whatever
+  // evaluate_exact_errev says, so the flag must not split the cache.
   engine::AnalysisJob job;
   job.params = base_params();
   job.params.p = 0.2;
   job.options = quick_options();
-  const engine::JobKey newton = engine::analysis_job_key(job, nullptr);
-  EXPECT_NE(newton.canonical.find("|search=newton|"), std::string::npos)
-      << newton.canonical;
-  engine::AnalysisJob bisect = job;
-  bisect.options.search = analysis::SearchMethod::kBisect;
-  const engine::JobKey bisected = engine::analysis_job_key(bisect, nullptr);
-  EXPECT_NE(bisected.canonical.find("|search=bisect|"), std::string::npos)
-      << bisected.canonical;
-  EXPECT_NE(newton.hash, bisected.hash);
-  EXPECT_NE(engine::analysis_chain_id(job), engine::analysis_chain_id(bisect));
+  engine::AnalysisJob skipped = job;
+  skipped.options.evaluate_exact_errev = false;
+  const engine::JobKey key = engine::analysis_job_key(job, nullptr);
+  EXPECT_EQ(key.canonical,
+            engine::analysis_job_key(skipped, nullptr).canonical);
+  EXPECT_EQ(key.canonical.find("|exact="), std::string::npos) << key.canonical;
 }
 
 TEST(EngineKeys, SweepModeIsPartOfTheIdentity) {

@@ -411,16 +411,24 @@ TEST(FleetRouter, RoutesAnalysisKindsByKeyAndAdminInListOrder) {
   const std::vector<std::size_t> in_order = {0, 1, 2};
   EXPECT_EQ(router.route("{\"kind\":\"ping\"}"), in_order);
   EXPECT_EQ(router.route("not json at all"), in_order);
-  // Different jobs spread: at least two distinct owners across a sweep
-  // of parameter points.
+  // Different jobs spread: every member owns some of a sweep of 60
+  // parameter points. (A handful of points can land on one owner by
+  // chance — six do so once in 243 key formats — while 60 points leave a
+  // member without a key about once in 10^10.)
   std::set<std::size_t> owners;
   for (int d = 1; d <= 6; ++d) {
-    owners.insert(router
-                      .route("{\"kind\":\"threshold\",\"d\":" +
-                             std::to_string(d) + "}")
-                      .front());
+    for (int g = 0; g <= 9; ++g) {
+      const std::string point = "{\"kind\":\"threshold\",\"d\":" +
+                                std::to_string(d) + ",\"gamma\":0." +
+                                std::to_string(g) + "}";
+      const std::size_t owner = router.route(point).front();
+      EXPECT_EQ(owner, router.ring().owner(engine::generic_job_key(
+                           serve::parse_request(point).job).hash))
+          << point;
+      owners.insert(owner);
+    }
   }
-  EXPECT_GE(owners.size(), 2u);
+  EXPECT_EQ(owners.size(), 3u);
 }
 
 }  // namespace

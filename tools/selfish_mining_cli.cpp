@@ -94,9 +94,6 @@ void declare_model_options(support::Options& options) {
   options.declare("burn-lost-races", "false",
                   "fork-choice variant: discard forks that lose tie races");
   options.declare("epsilon", "0.001", "Algorithm 1 precision");
-  options.declare("search", "newton",
-                  "Algorithm 1 search over beta: newton (Dinkelbach steps, "
-                  "~2-4 solves) | bisect (the paper's binary search)");
   options.declare("solver", "vi", "mean-payoff solver: vi | gs | pi | dense");
   options.declare("sweep-mode", "ordered",
                   "gs iterate path: ordered (serial sweeps, certified "
@@ -163,7 +160,6 @@ analysis::AnalysisOptions analysis_from(const support::Options& options,
                                         int solver_threads = 1) {
   analysis::AnalysisOptions out;
   out.epsilon = options.get_double("epsilon");
-  out.search = analysis::parse_search_method(options.get_string("search"));
   out.solver.method = mdp::parse_solver_method(options.get_string("solver"));
   out.solver.threads = solver_threads;
   // --sweep-mode rides with the model/solver options (it is
@@ -466,7 +462,6 @@ int cmd_export(int argc, const char* const* argv) {
   if (beta < 0.0) {
     auto analysis_options =
         analysis_from(options, options.get_int("threads"));
-    analysis_options.evaluate_exact_errev = false;
     beta = analysis::analyze(model, analysis_options).errev_lower_bound;
   }
   const std::string prefix = options.get_string("prefix");
