@@ -1,6 +1,7 @@
 #include "bench_common.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "analysis/sweep.hpp"
@@ -51,9 +52,26 @@ support::Options standard_options(int argc, const char* const* argv,
   options.declare("trace-out", "",
                   "write obs trace spans (NDJSON, one per span) to this "
                   "file; empty = tracing off");
-  options.parse(argc, argv);
-  const std::string trace = options.get_string("trace-out");
-  if (!trace.empty()) obs::open_trace(trace);
+  options.declare("help", "false", "show this harness's options");
+  try {
+    options.parse(argc, argv);
+    // Read every typed option once, so a malformed value fails here with
+    // the usage error instead of escaping a harness's main later.
+    options.get_bool("bench-full");
+    options.get_double("epsilon");
+    mdp::parse_solver_method(options.get_string("solver"));
+    options.get_int("threads");
+    options.get_bool("store-values");
+    if (options.get_bool("help")) {
+      std::fputs(options.usage(argv[0]).c_str(), stderr);
+      std::exit(0);
+    }
+    const std::string trace = options.get_string("trace-out");
+    if (!trace.empty()) obs::open_trace(trace);
+  } catch (const support::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
+  }
   return options;
 }
 

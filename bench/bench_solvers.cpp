@@ -391,16 +391,24 @@ void BM_Algorithm1Legacy(benchmark::State& state) {
 BENCHMARK(BM_Algorithm1Legacy)->Args({2, 2})->Args({3, 2})
     ->Unit(benchmark::kMillisecond);
 
-void BM_ExactErrevEvaluation(benchmark::State& state) {
-  const auto model = selfish::build_model(params_for(2, 2));
+void BM_ExactErrevEvaluation(benchmark::State& state, int d, int f,
+                             double epsilon) {
+  const auto model = selfish::build_model(params_for(d, f));
   analysis::AnalysisOptions options;
-  options.epsilon = 1e-2;
+  options.epsilon = epsilon;
   const auto analysis = analysis::analyze(model, options);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::exact_errev(model, analysis.policy));
   }
 }
+void BM_ExactErrevEvaluation(benchmark::State& state) {
+  BM_ExactErrevEvaluation(state, 2, 2, 1e-2);
+}
 BENCHMARK(BM_ExactErrevEvaluation)->Unit(benchmark::kMillisecond);
+// The largest default-grid model: one evaluation is one Newton step's
+// lower end (see analysis/algorithm1.hpp).
+BENCHMARK_CAPTURE(BM_ExactErrevEvaluation, d3f2, 3, 2, 1e-3)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SingleTreeBaseline(benchmark::State& state) {
   const baselines::SingleTreeParams params{

@@ -40,6 +40,12 @@
 // bit-identical results at any thread count. Each solve is traced as one
 // `analysis.step` span carrying β, gain_lo, gain_hi, sweeps and the
 // step's decision (newton, certify or tighten).
+//
+// The Newton step's exact ratio is a stationary solve on σ's chain
+// (analysis/errev.hpp): Gauss–Seidel sweeps over its closed class, ~50
+// sweeps at d=3,f=2, traced as an `analysis.exact_errev` child of the
+// step. It requires σ's chain to be unichain, which every selfish-mining
+// strategy is (paper App. C).
 #pragma once
 
 #include <vector>

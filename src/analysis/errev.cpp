@@ -1,5 +1,9 @@
 #include "analysis/errev.hpp"
 
+#include <cstdint>
+
+#include "obs/trace.hpp"
+
 namespace analysis {
 
 mdp::CounterRates counter_rates(const selfish::SelfishModel& model,
@@ -9,7 +13,13 @@ mdp::CounterRates counter_rates(const selfish::SelfishModel& model,
 
 double exact_errev(const selfish::SelfishModel& model,
                    const mdp::Policy& policy) {
-  return counter_rates(model, policy).ratio();
+  obs::Span span("analysis.exact_errev");
+  const mdp::CounterRates rates = counter_rates(model, policy);
+  span.attr("sweeps", serve::Json(static_cast<std::int64_t>(rates.sweeps)));
+  span.attr("states",
+            serve::Json(static_cast<std::int64_t>(rates.closed_states)));
+  span.attr("residual", serve::Json(rates.residual));
+  return rates.ratio();
 }
 
 }  // namespace analysis

@@ -36,7 +36,10 @@ namespace engine {
 /// bisection, so stored brackets and strategies change; job keys lost the
 /// `exact=` token, since every answer now carries its strategy's exact
 /// ERRev.
-inline constexpr std::uint32_t kCodeVersionSalt = 4;
+/// v5: exact ERRev (every Newton step's lower end) comes from a
+/// Gauss–Seidel stationary solve instead of lazy power iteration, which
+/// stopped ~1e-11 short; the low bits of β_lo and errev_of_policy change.
+inline constexpr std::uint32_t kCodeVersionSalt = 5;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with
 /// `options`. This is the unit of work behind `analysis::sweep_p`, the

@@ -1,8 +1,9 @@
 // Markov-chain analyses of an MDP under a fixed positional strategy.
 //
 // Used for (a) the exact ERRev of a computed strategy via the renewal
-// ratio g_A / (g_A + g_H) and (b) structural sanity checks (reachability,
-// unichain validation) exercised by the tests.
+// ratio g_A / (g_A + g_H), from the stationary distribution of the
+// strategy's chain (Gauss–Seidel, see stationary_distribution), and (b)
+// structural checks (reachability) exercised by the tests.
 #pragma once
 
 #include <cstdint>
@@ -28,21 +29,37 @@ std::vector<bool> reachable_states(const Mdp& mdp, const Policy& policy,
                                    StateId from);
 
 struct StationaryOptions {
-  double tol = 1e-12;       ///< L1 change at which power iteration stops.
+  /// Relative L1 change of μ per sweep, ‖x − μ‖₁ / Σx, at which the
+  /// solve stops. Its rounding floor is ~1e-16 at any class size; at
+  /// 1e-14 ERRev ratios land within ~1e-14 of a dense long-double solve.
+  double tol = 1e-14;
   int max_iterations = 5'000'000;
-  double tau = 0.5;         ///< Laziness: P' = τI + (1−τ)P (same fixpoint).
 };
 
 struct StationaryResult {
   std::vector<double> distribution;  ///< μ with μP = μ, Σμ = 1.
-  int iterations = 0;
+  StateId closed_states = 0;  ///< Size of the closed class μ lives on.
+  int iterations = 0;         ///< Gauss–Seidel sweeps.
+  double residual = 0.0;      ///< ‖μP − μ‖₁ of the returned μ.
   bool converged = false;
 };
 
-/// Stationary distribution of the chain induced by `policy`, computed by
-/// lazy power iteration started from the initial state. For a unichain
-/// model this converges to the unique stationary distribution of the
-/// recurrent class reachable from the initial state.
+/// Stationary distribution of the chain induced by `policy`.
+///
+/// Precondition: the chain is unichain from the initial state — the
+/// states it reaches hold exactly one closed class (every selfish-mining
+/// strategy meets it: the all-honest reset state is reachable from
+/// everywhere, paper App. C). Otherwise throws support::InvalidArgument.
+///
+/// Method: Gauss–Seidel on the balance equations μ(I − P) = 0, the
+/// steady-state default of PRISM and Storm. The chain's in-edges,
+/// restricted to the closed class, are gathered once per call; each sweep
+/// sets μ(t) = Σ_{s≠t} μ(s)·P(s,t) / (1 − P(t,t)) in ascending state
+/// order, reading the values the sweep already updated, with compensated
+/// sums, then renormalizes. Sweeps start from the uniform distribution on
+/// the class; `residual` is computed once, after the last sweep. Transient
+/// and unreachable states get exactly 0; a closed class of one state gets
+/// μ = 1 without any sweep.
 StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy,
                                          const StationaryOptions& options = {});
 

@@ -5,8 +5,10 @@
 //    gain bounds and a bias (relative value) vector, used by Howard policy
 //    iteration for its improvement step.
 //  * evaluate_policy_counters — long-run rates of the two finalization
-//    counters (adversary, honest) via one stationary-distribution solve;
-//    the exact ERRev of a strategy is then g_A / (g_A + g_H).
+//    counters (adversary, honest) via one stationary-distribution solve
+//    (Gauss–Seidel on the strategy's chain, which must be unichain; see
+//    stationary_distribution); the exact ERRev of a strategy is then
+//    g_A / (g_A + g_H).
 #pragma once
 
 #include <vector>
@@ -36,6 +38,11 @@ PolicyEvaluation evaluate_policy_gain(const Mdp& mdp, const Policy& policy,
 struct CounterRates {
   double adversary = 0.0;  ///< Long-run finalized adversary blocks / step.
   double honest = 0.0;     ///< Long-run finalized honest blocks / step.
+
+  /// The stationary solve behind the rates (see StationaryResult).
+  int sweeps = 0;
+  StateId closed_states = 0;
+  double residual = 0.0;
 
   /// ERRev of the policy: adversary / (adversary + honest).
   /// Well-defined for the selfish-mining models, where the total

@@ -83,18 +83,18 @@ TEST(EngineKeys, PinAllInputsAndLineage) {
   EXPECT_NE(engine::analysis_chain_id(job), engine::analysis_chain_id(other));
 }
 
-TEST(EngineKeys, SaltV4InvalidatesPreNewtonCaches) {
-  // The Newton search shipped with a salt bump 3→4: every canonical key
-  // must carry the v4 prefix (so all bisection-era store entries miss
-  // cleanly) and must never render the old one.
-  EXPECT_EQ(engine::kCodeVersionSalt, 4u);
+TEST(EngineKeys, SaltV5InvalidatesPowerIterationCaches) {
+  // The Gauss–Seidel exact ERRev shipped with a salt bump 4→5: every
+  // canonical key must carry the v5 prefix (so all entries whose β_lo came
+  // from power iteration miss cleanly) and must never render the old one.
+  EXPECT_EQ(engine::kCodeVersionSalt, 5u);
   engine::AnalysisJob job;
   job.params = base_params();
   job.params.p = 0.2;
   job.options = quick_options();
   const engine::JobKey key = engine::analysis_job_key(job, nullptr);
-  EXPECT_EQ(key.canonical.rfind("analysis/v4|", 0), 0u) << key.canonical;
-  EXPECT_EQ(key.canonical.find("analysis/v3"), std::string::npos);
+  EXPECT_EQ(key.canonical.rfind("analysis/v5|", 0), 0u) << key.canonical;
+  EXPECT_EQ(key.canonical.find("analysis/v4"), std::string::npos);
 }
 
 TEST(EngineKeys, ExactEvaluationFlagIsNotPartOfTheIdentity) {

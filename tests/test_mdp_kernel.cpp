@@ -434,8 +434,8 @@ TEST(BellmanKernelRedBlack, AnalyzeAgreesWithOrderedWithinEpsilon) {
   EXPECT_NEAR(a.errev_lower_bound, b.errev_lower_bound, 2.0 * 1e-3);
   EXPECT_NEAR(a.errev_of_policy, b.errev_of_policy, 2.0 * 1e-3);
   // Pinned analyze-level goldens for the red-black path.
-  EXPECT_EQ(b.errev_lower_bound, 0.41031014318391956);
-  EXPECT_EQ(b.errev_of_policy, 0.41031014318391956);
+  EXPECT_EQ(b.errev_lower_bound, 0.41031014318856607);
+  EXPECT_EQ(b.errev_of_policy, 0.41031014318856607);
 }
 
 TEST(BellmanKernelRedBlack, LegacyPathRejectsRedBlack) {
