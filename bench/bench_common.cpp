@@ -29,8 +29,7 @@ support::Options standard_options(int argc, const char* const* argv,
   support::Options options;
   options.declare("bench-full", "false",
                   "run the paper's full grids (incl. d=4,f=2); also via "
-                  "SELFISH_BENCH_FULL=1" +
-                      (extra_help.empty() ? "" : ". " + extra_help));
+                  "SELFISH_BENCH_FULL=1");
   options.declare("epsilon", "0.001",
                   "precision of Algorithm 1 (certified bracket width)");
   options.declare("solver", "vi",
@@ -63,6 +62,9 @@ support::Options standard_options(int argc, const char* const* argv,
     options.get_int("threads");
     options.get_bool("store-values");
     if (options.get_bool("help")) {
+      if (!extra_help.empty()) {
+        std::fprintf(stderr, "%s\n", extra_help.c_str());
+      }
       std::fputs(options.usage(argv[0]).c_str(), stderr);
       std::exit(0);
     }

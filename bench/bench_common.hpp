@@ -27,7 +27,8 @@ std::vector<double> resource_grid(bool full);
 /// Declares the options shared by all harnesses (--full, --epsilon,
 /// --solver, --threads, --cache-dir, --metrics-out, --trace-out, --help)
 /// and parses argv (with SELFISH_* environment defaults). --help prints
-/// the usage and exits 0; an unknown or malformed option prints
+/// `extra_help` (when set) as a heading line, then the usage, and exits
+/// 0; an unknown or malformed option prints
 /// "error: …" and exits 1, like the CLI. When --trace-out is set the obs
 /// NDJSON trace sink opens immediately, so every span of the harness run
 /// lands in the file.

@@ -455,8 +455,7 @@ void report(const char* label, const PassResult& pass,
                 quantile_ms(hist, 0.99).c_str(),
                 static_cast<unsigned long long>(hist.count));
   } else {
-    std::printf("      server histograms empty (obs runtime-disabled or "
-                "compiled out)\n");
+    std::printf("      server histograms empty (obs runtime-disabled)\n");
   }
   if (server.requests > 0) {
     const double hits = server.lru + server.store + server.coalesced;
@@ -472,7 +471,7 @@ void report(const char* label, const PassResult& pass,
 int main(int argc, char** argv) {
   auto options = bench::standard_options(
       argc, argv,
-      "bench_serve: cold vs warm QPS/latency of the analysis service\n");
+      "bench_serve: cold vs warm QPS/latency of the analysis service");
   const bool full = options.get_bool("bench-full");
   const int clients = 4;
   const int repeat = full ? 16 : 8;

@@ -7,15 +7,9 @@
 // The kernel rows are the perf-trajectory anchors: CI's solver-perf job
 // runs this binary with --benchmark_out=BENCH_solvers.json and uploads
 // the JSON, so kernel-vs-legacy and 1-vs-N-thread ratios are recorded
-// per commit. BM_KernelValueIteration/BM_KernelGaussSeidel deliberately
-// pin the PR 4 tuning (scalar gather, no prefetch) so those trajectories
-// stay comparable; the *Gather rows measure the tuned default against
-// them, BM_KernelGaussSeidelRedBlack measures the parallel certified
-// iterate path, and BM_StreamTriad measures the host's memory-bandwidth
-// peak that the kernel rows' achieved_gbps is judged against. (Results
-// are bit-identical across every thread count and gather tuning —
-// test_mdp_kernel pins that; red-black is a different certified iterate
-// with its own golden pins.)
+// per commit. BM_StreamTriad measures the host's memory-bandwidth peak
+// that the kernel rows' achieved_gbps is judged against. (Results are
+// bit-identical across every thread count — test_mdp_kernel pins that.)
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -37,16 +31,6 @@ namespace {
 selfish::AttackParams params_for(int d, int f) {
   return selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = d, .f = f, .l = 4};
 }
-
-// The PR 4 kernel configuration — scalar gather, no software prefetch —
-// kept as the tuning of every committed BM_Kernel* row so the perf
-// trajectory stays apples-to-apples across commits. The *Gather and
-// *RedBlack rows below measure the tuned default against these anchors.
-constexpr mdp::KernelTuning kAnchorTuning{
-    .sweep_mode = mdp::SweepMode::kOrdered,
-    .gather = mdp::GatherMode::kScalar,
-    .prefetch_distance = 0,
-};
 
 // Handle to the kernel's own per-sweep wall-time histogram (same
 // name/bounds, so the registry returns the existing series).
@@ -148,10 +132,9 @@ void BM_KernelBuild(benchmark::State& state) {
 BENCHMARK(BM_KernelBuild)->Args({2, 2})->Args({3, 2})
     ->Unit(benchmark::kMillisecond);
 
-void kernel_value_iteration_row(benchmark::State& state,
-                                const mdp::KernelTuning& tuning) {
+void BM_KernelValueIteration(benchmark::State& state) {
   // SoA kernel, threads = range(2); bit-identical to BM_ValueIteration
-  // at every tuning (test_mdp_kernel pins that).
+  // (test_mdp_kernel pins that).
   const auto model = selfish::build_model(
       params_for(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1))));
@@ -161,7 +144,7 @@ void kernel_value_iteration_row(benchmark::State& state,
   const obs::HistogramSnapshot before = sweep_seconds_histogram().snapshot();
   for (auto _ : state) {
     const auto result =
-        kernel.value_iteration(0.4, {}, nullptr, threads, tuning);
+        kernel.value_iteration(0.4, {}, nullptr, threads);
     benchmark::DoNotOptimize(result.gain);
     sweeps += result.iterations;
   }
@@ -178,10 +161,6 @@ void kernel_value_iteration_row(benchmark::State& state,
       benchmark::Counter::kIsRate);
   attach_sweep_percentiles(state, before);
 }
-
-void BM_KernelValueIteration(benchmark::State& state) {
-  kernel_value_iteration_row(state, kAnchorTuning);
-}
 BENCHMARK(BM_KernelValueIteration)
     ->Args({2, 2, 1})->Args({2, 2, 8})
     ->Args({3, 2, 1})->Args({3, 2, 2})->Args({3, 2, 4})->Args({3, 2, 8})
@@ -190,21 +169,7 @@ BENCHMARK(BM_KernelValueIteration)
     ->Args({4, 2, 1})->Args({4, 2, 2})->Args({4, 2, 4})->Args({4, 2, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);
 
-void BM_KernelValueIterationGather(benchmark::State& state) {
-  // The tuned default: widest available hardware gather (runtime CPU
-  // dispatch) + software prefetch. Same sweep count and bytes as the
-  // anchor row above — any real_time delta is pure gather servicing.
-  kernel_value_iteration_row(state, mdp::KernelTuning{});
-}
-BENCHMARK(BM_KernelValueIterationGather)
-    ->Args({2, 2, 1})->Args({2, 2, 8})->Args({3, 2, 1})->Args({3, 2, 8})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_KernelValueIterationGather)
-    ->Args({4, 2, 1})->Args({4, 2, 8})
-    ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);
-
-void kernel_gauss_seidel_row(benchmark::State& state,
-                             const mdp::KernelTuning& tuning) {
+void BM_KernelGaussSeidel(benchmark::State& state) {
   const auto model = selfish::build_model(
       params_for(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1))));
@@ -212,35 +177,14 @@ void kernel_gauss_seidel_row(benchmark::State& state,
   const int threads = static_cast<int>(state.range(2));
   for (auto _ : state) {
     const auto result =
-        kernel.gauss_seidel(0.4, {}, nullptr, threads, tuning);
+        kernel.gauss_seidel(0.4, {}, nullptr, threads);
     benchmark::DoNotOptimize(result.gain);
   }
-}
-
-void BM_KernelGaussSeidel(benchmark::State& state) {
-  kernel_gauss_seidel_row(state, kAnchorTuning);
 }
 BENCHMARK(BM_KernelGaussSeidel)
     ->Args({2, 2, 1})->Args({2, 2, 8})->Args({3, 2, 1})->Args({3, 2, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_KernelGaussSeidel)->Args({4, 2, 1})
-    ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);
-
-void BM_KernelGaussSeidelRedBlack(benchmark::State& state) {
-  // The red-black certified iterate path (plus the tuned gather default
-  // for its certification sweeps). Its in-place half-sweeps parallelize
-  // where kOrdered's are serial — the threads=8 rows against
-  // BM_KernelGaussSeidel's are the point of this benchmark; iteration
-  // counts differ between the two paths, so compare whole-solve time,
-  // not per-sweep time.
-  mdp::KernelTuning tuning;
-  tuning.sweep_mode = mdp::SweepMode::kRedBlack;
-  kernel_gauss_seidel_row(state, tuning);
-}
-BENCHMARK(BM_KernelGaussSeidelRedBlack)
-    ->Args({2, 2, 1})->Args({2, 2, 8})->Args({3, 2, 1})->Args({3, 2, 8})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_KernelGaussSeidelRedBlack)->Args({4, 2, 1})
     ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);
 
 void BM_StreamTriad(benchmark::State& state) {

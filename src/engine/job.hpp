@@ -28,10 +28,9 @@ namespace engine {
 /// sweep — boundary states can pick a different ε-optimal action, so
 /// errev_of_policy may shift within the ε band.
 /// v3: the Gauss–Seidel solver grew a second certified iterate path
-/// (SweepMode::kRedBlack, parallel two-phase colored sweeps) and job keys
-/// grew a `sweep=` token; bumping the salt makes every pre-v3 entry miss
-/// so cached artifacts never mix iterate paths. (Gather/prefetch tuning
-/// is byte-identical and deliberately NOT keyed, like `threads`.)
+/// (red-black colored sweeps, since removed) and job keys grew a
+/// `sweep=` token, now always `sweep=ordered`; bumping the salt made
+/// every pre-v3 entry miss so cached artifacts never mixed iterate paths.
 /// v4: Algorithm 1 searches by Newton (Dinkelbach) steps instead of
 /// bisection, so stored brackets and strategies change; job keys lost the
 /// `exact=` token, since every answer now carries its strategy's exact

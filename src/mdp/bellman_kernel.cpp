@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "mdp/bellman_gather.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
@@ -51,11 +50,6 @@ MdpMetrics& mdp_metrics() {
 /// accordingly (outputs are thread-count invariant either way). Low
 /// enough that the d=2 test/CI models still exercise the parallel path.
 constexpr StateId kMinStatesPerWorker = 256;
-
-/// Transitions per hardware-gather tile. 4096 products occupy 32 KB of
-/// scratch — L1-resident on anything current — so the ordered sum pass
-/// immediately after the gather pass rereads them for free.
-constexpr std::uint32_t kGatherTile = 4096;
 
 /// Chunk partition over a contiguous index range for the synchronous
 /// sweeps of one solve, fanned over a borrowed kernel-lifetime pool
@@ -103,161 +97,7 @@ void check_options(const MeanPayoffOptions& options) {
              "need at least one iteration, got ", options.max_iterations);
 }
 
-/// Resolved gather strategy for one solve: a hardware gather-product
-/// kernel (nullptr = fused scalar loop) plus the prefetch lookahead.
-struct GatherPlan {
-  detail::GatherProductsFn fn = nullptr;
-  int prefetch = 0;
-};
-
-/// The widest hardware gather compiled in and supported by this CPU
-/// (nullptr when there is none).
-detail::GatherProductsFn widest_gather_fn() {
-  detail::GatherProductsFn fn = detail::avx512_gather_products();
-  if (fn == nullptr) fn = detail::avx2_gather_products();
-  return fn;
-}
-
-/// GatherMode::kAuto's resolution: the faster of the portable loop and
-/// the widest available hardware gather, decided once per process by a
-/// short calibration. "Widest ISA" alone is the wrong policy —
-/// vgatherdpd is microcoded into scalar loads on several x86
-/// implementations (and most virtualized CPUs), where the tile path
-/// loses ~25% to the fused scalar loop — so auto measures instead of
-/// assuming. All candidates are byte-identical (test_mdp_kernel pins
-/// that), so only speed is at stake; the probe costs ~1 ms once.
-detail::GatherProductsFn auto_gather_fn() {
-  static const detail::GatherProductsFn chosen = []() {
-    const detail::GatherProductsFn hw = widest_gather_fn();
-    if (hw == nullptr) return hw;
-    // A DRAM-unfriendly synthetic shaped like the big models' sweeps:
-    // gather-products over a value array far past L2, indices from a
-    // fixed LCG. Each candidate is timed as the kernel would actually
-    // run it — the scalar route is the *fused* gather-multiply-sum loop
-    // (no product store), the hardware route pays its real tile cost:
-    // gather-multiply into scratch plus the summing reread. Best-of-3
-    // each; the hardware path must win by >5% to displace scalar.
-    constexpr std::uint32_t kValues = 1u << 20;    // 8 MB value array
-    constexpr std::uint32_t kProducts = 1u << 16;
-    std::vector<double> values(kValues, 1.0);
-    std::vector<double> probs(kProducts, 0.5);
-    std::vector<double> out(kProducts, 0.0);
-    std::vector<StateId> targets(kProducts);
-    std::uint32_t lcg = 0x9e3779b9u;
-    for (StateId& target : targets) {
-      lcg = lcg * 1664525u + 1013904223u;
-      target = static_cast<StateId>(lcg % kValues);
-    }
-    volatile double sink = 0.0;
-    const auto fused_seconds = [&]() {
-      double best = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < 3; ++rep) {
-        const support::Timer timer;
-        double sum = 0.0;
-        for (std::uint32_t i = 0; i < kProducts; ++i) {
-          sum += probs[i] * values[targets[i]];
-        }
-        sink = sum;
-        best = std::min(best, timer.seconds());
-      }
-      return best;
-    };
-    const auto tiled_seconds = [&](detail::GatherProductsFn fn) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < 3; ++rep) {
-        const support::Timer timer;
-        fn(probs.data(), targets.data(), values.data(), out.data(),
-           kProducts, 0);
-        double sum = 0.0;
-        for (std::uint32_t i = 0; i < kProducts; ++i) sum += out[i];
-        sink = sum;
-        best = std::min(best, timer.seconds());
-      }
-      return best;
-    };
-    return tiled_seconds(hw) < 0.95 * fused_seconds() ? hw : nullptr;
-  }();
-  return chosen;
-}
-
-GatherPlan resolve_plan(const KernelTuning& tuning) {
-  SM_REQUIRE(tuning.prefetch_distance >= 0,
-             "prefetch distance must be >= 0, got ",
-             tuning.prefetch_distance);
-  GatherPlan plan;
-  plan.prefetch = tuning.prefetch_distance;
-  switch (tuning.gather) {
-    case GatherMode::kScalar:
-      break;
-    case GatherMode::kAvx2:
-      plan.fn = detail::avx2_gather_products();
-      SM_REQUIRE(plan.fn != nullptr,
-                 "gather mode avx2 is not available on this build/CPU "
-                 "(probe with gather_mode_available)");
-      break;
-    case GatherMode::kAvx512:
-      plan.fn = detail::avx512_gather_products();
-      SM_REQUIRE(plan.fn != nullptr,
-                 "gather mode avx512 is not available on this build/CPU "
-                 "(probe with gather_mode_available)");
-      break;
-    case GatherMode::kAuto:
-      plan.fn = auto_gather_fn();
-      break;
-  }
-  return plan;
-}
-
 }  // namespace
-
-const char* to_string(SweepMode mode) {
-  return mode == SweepMode::kRedBlack ? "redblack" : "ordered";
-}
-
-SweepMode parse_sweep_mode(const std::string& text) {
-  if (text == "ordered") return SweepMode::kOrdered;
-  if (text == "redblack" || text == "red-black") return SweepMode::kRedBlack;
-  SM_REQUIRE(false, "unknown sweep mode '", text,
-             "' (expected ordered|redblack)");
-  return SweepMode::kOrdered;
-}
-
-const char* to_string(GatherMode mode) {
-  switch (mode) {
-    case GatherMode::kScalar:
-      return "scalar";
-    case GatherMode::kAvx2:
-      return "avx2";
-    case GatherMode::kAvx512:
-      return "avx512";
-    case GatherMode::kAuto:
-      break;
-  }
-  return "auto";
-}
-
-GatherMode parse_gather_mode(const std::string& text) {
-  if (text == "auto") return GatherMode::kAuto;
-  if (text == "scalar") return GatherMode::kScalar;
-  if (text == "avx2") return GatherMode::kAvx2;
-  if (text == "avx512") return GatherMode::kAvx512;
-  SM_REQUIRE(false, "unknown gather mode '", text,
-             "' (expected auto|scalar|avx2|avx512)");
-  return GatherMode::kAuto;
-}
-
-bool gather_mode_available(GatherMode mode) {
-  switch (mode) {
-    case GatherMode::kAvx2:
-      return detail::avx2_gather_products() != nullptr;
-    case GatherMode::kAvx512:
-      return detail::avx512_gather_products() != nullptr;
-    case GatherMode::kAuto:
-    case GatherMode::kScalar:
-      break;
-  }
-  return true;
-}
 
 /// Raw-pointer snapshot of the kernel's hot arrays, hoisted once per
 /// solve so the backup helper below inlines into the sweep loops with
@@ -307,114 +147,13 @@ inline double bellman_best(const BellmanKernelView& k, const double* values,
   return best;
 }
 
-/// bellman_best with a software-prefetched value stream: each iteration
-/// hints the gather `dist` transitions ahead (clamped to the sweep's
-/// transition window [*, t_limit) so the tail never reads out of
-/// bounds). Prefetch is semantically a no-op — the arithmetic, and hence
-/// the result, is byte-identical to bellman_best.
-inline double bellman_best_prefetch(const BellmanKernelView& k,
-                                    const double* values, StateId s,
-                                    ActionId* best_action, std::uint32_t dist,
-                                    std::uint32_t t_limit) {
-  double best = -std::numeric_limits<double>::infinity();
-  ActionId best_a = kInvalidAction;
-  const ActionId a_end = k.action_begin[s + 1];
-  for (ActionId a = k.action_begin[s]; a < a_end; ++a) {
-    double q = k.reward[a];
-    const std::uint32_t t_end = k.tr_begin[a + 1];
-    for (std::uint32_t i = k.tr_begin[a]; i < t_end; ++i) {
-      const std::uint32_t ahead = i + dist;
-      __builtin_prefetch(&values[k.targets[ahead < t_limit ? ahead
-                                                           : t_limit - 1]]);
-      q += k.probs[i] * values[k.targets[i]];
-    }
-    // Branchless arg-max: the update is data-dependent and mispredicts
-    // on ~every other action, which on a 1-wide memory-bound sweep costs
-    // more than the select. Identical semantics (strict >, ties keep the
-    // earlier action) — byte-identical results.
-    const bool better = q > best;
-    best = better ? q : best;
-    best_a = better ? a : best_a;
-  }
-  *best_action = best_a;
-  return best;
-}
-
-/// Best Q-value of `s` from pre-gathered products: prod[i - base] holds
-/// probs[i]·values[targets[i]] for the tile starting at transition
-/// `base`. The sum runs in the same scalar order as bellman_best and the
-/// per-element products are computed by IEEE multiplication either way
-/// (the solver TUs compile with -ffp-contract=off, so neither path fuses
-/// into an FMA) — byte-identical results.
-inline double bellman_best_products(const BellmanKernelView& k,
-                                    const double* prod, std::uint32_t base,
-                                    StateId s, ActionId* best_action) {
-  double best = -std::numeric_limits<double>::infinity();
-  ActionId best_a = kInvalidAction;
-  const ActionId a_end = k.action_begin[s + 1];
-  for (ActionId a = k.action_begin[s]; a < a_end; ++a) {
-    double q = k.reward[a];
-    const std::uint32_t t_end = k.tr_begin[a + 1];
-    for (std::uint32_t i = k.tr_begin[a]; i < t_end; ++i) {
-      q += prod[i - base];
-    }
-    // Branchless arg-max: the update is data-dependent and mispredicts
-    // on ~every other action, which on a 1-wide memory-bound sweep costs
-    // more than the select. Identical semantics (strict >, ties keep the
-    // earlier action) — byte-identical results.
-    const bool better = q > best;
-    best = better ? q : best;
-    best_a = better ? a : best_a;
-  }
-  *best_action = best_a;
-  return best;
-}
-
 /// Synchronous backup over the contiguous state range [begin, end)
-/// against the frozen `values`, routing the v[targets[i]] gather through
-/// the plan: hardware gather-product tiles, the prefetched scalar loop,
-/// or the plain loop. Calls per_state(s, bellman, best_action) for every
-/// state in ascending order. All three routes are byte-identical.
+/// against the frozen `values`: calls per_state(s, bellman, best_action)
+/// for every state in ascending order.
 template <typename PerState>
 inline void backup_states(const BellmanKernelView& k, const double* values,
-                          StateId begin, StateId end, const GatherPlan& plan,
-                          double* prod, PerState&& per_state) {
-  if (begin >= end) return;
+                          StateId begin, StateId end, PerState&& per_state) {
   ActionId best_a = kInvalidAction;
-  if (plan.fn != nullptr) {
-    // Two-phase tiles: gather+multiply a run of whole states (~kGatherTile
-    // transitions) into L1-resident scratch, then sum per state in scalar
-    // program order. A state wider than a tile gets a tile of its own
-    // (prod is sized for the widest state in the model).
-    StateId s = begin;
-    while (s < end) {
-      const std::uint32_t t0 = k.tr_begin[k.action_begin[s]];
-      StateId tile_end = s + 1;
-      while (tile_end < end &&
-             k.tr_begin[k.action_begin[tile_end + 1]] - t0 <= kGatherTile) {
-        ++tile_end;
-      }
-      const std::uint32_t t1 = k.tr_begin[k.action_begin[tile_end]];
-      plan.fn(k.probs + t0, k.targets + t0, values, prod, t1 - t0,
-              plan.prefetch);
-      for (StateId s2 = s; s2 < tile_end; ++s2) {
-        const double q = bellman_best_products(k, prod, t0, s2, &best_a);
-        per_state(s2, q, best_a);
-      }
-      s = tile_end;
-    }
-    return;
-  }
-  if (plan.prefetch > 0) {
-    const std::uint32_t dist = static_cast<std::uint32_t>(plan.prefetch);
-    const std::uint32_t t_limit = k.tr_begin[k.action_begin[end]];
-    for (StateId s = begin; s < end; ++s) {
-      const double q =
-          bellman_best_prefetch(k, values, s, &best_a, dist, t_limit);
-      per_state(s, q, best_a);
-    }
-    return;
-  }
   for (StateId s = begin; s < end; ++s) {
     const double q = bellman_best(k, values, s, &best_a);
     per_state(s, q, best_a);
@@ -450,11 +189,6 @@ BellmanKernel::BellmanKernel(const Mdp& mdp) : mdp_(&mdp) {
     }
   }
   tr_begin_[num_actions] = static_cast<std::uint32_t>(mdp.num_transitions());
-  for (StateId s = 0; s < num_states; ++s) {
-    const std::uint32_t width =
-        tr_begin_[action_begin_[s + 1]] - tr_begin_[action_begin_[s]];
-    max_state_transitions_ = std::max(max_state_transitions_, width);
-  }
 }
 
 BellmanKernel::~BellmanKernel() = default;
@@ -520,22 +254,11 @@ support::ThreadPool* BellmanKernel::sweep_pool(int threads) const {
   return pool_.get();
 }
 
-void BellmanKernel::ensure_products(std::size_t num_chunks,
-                                    bool gather_active) const {
-  if (!gather_active) return;
-  const std::size_t tile =
-      std::max<std::size_t>(kGatherTile, max_state_transitions_);
-  if (prod_.size() < num_chunks) prod_.resize(num_chunks);
-  for (std::size_t c = 0; c < num_chunks; ++c) prod_[c].resize(tile);
-}
-
 MeanPayoffResult BellmanKernel::value_iteration(
     double beta, const MeanPayoffOptions& options,
-    const std::vector<double>* warm_start, int threads,
-    const KernelTuning& tuning) const {
+    const std::vector<double>* warm_start, int threads) const {
   const StateId n = mdp_->num_states();
   check_options(options);
-  const GatherPlan plan = resolve_plan(tuning);
   fuse_rewards(beta);
   init_values(warm_start);
   const BellmanKernelView kview(*this);
@@ -550,7 +273,6 @@ MeanPayoffResult BellmanKernel::value_iteration(
   const double one_minus_tau = 1.0 - tau;
 
   const SweepRunner sweep(n, sweep_pool(threads));
-  ensure_products(sweep.num_chunks(), plan.fn != nullptr);
   std::vector<double> chunk_lo(sweep.num_chunks());
   std::vector<double> chunk_hi(sweep.num_chunks());
 
@@ -569,8 +291,7 @@ MeanPayoffResult BellmanKernel::value_iteration(
       const auto [begin, end] = sweep.bounds(c);
       double lo = std::numeric_limits<double>::infinity();
       double hi = -lo;
-      double* const prod = plan.fn != nullptr ? prod_[c].data() : nullptr;
-      backup_states(kview, v, begin, end, plan, prod,
+      backup_states(kview, v, begin, end,
                     [&](StateId s, double bellman, ActionId best_a) {
         // Lazy update = value iteration on the transformed (aperiodic)
         // MDP.
@@ -639,11 +360,9 @@ MeanPayoffResult BellmanKernel::value_iteration(
 
 MeanPayoffResult BellmanKernel::gauss_seidel(
     double beta, const MeanPayoffOptions& options,
-    const std::vector<double>* warm_start, int threads,
-    const KernelTuning& tuning) const {
+    const std::vector<double>* warm_start, int threads) const {
   const StateId n = mdp_->num_states();
   check_options(options);
-  const GatherPlan plan = resolve_plan(tuning);
   fuse_rewards(beta);
   init_values(warm_start);
   const BellmanKernelView kview(*this);
@@ -657,25 +376,9 @@ MeanPayoffResult BellmanKernel::gauss_seidel(
   const double tau = options.tau;
   const double one_minus_tau = 1.0 - tau;
 
-  support::ThreadPool* pool = sweep_pool(threads);
-  const SweepRunner sweep(n, pool);
-  ensure_products(sweep.num_chunks(), plan.fn != nullptr);
+  const SweepRunner sweep(n, sweep_pool(threads));
   std::vector<double> chunk_lo(sweep.num_chunks());
   std::vector<double> chunk_hi(sweep.num_chunks());
-
-  const bool red_black = tuning.sweep_mode == SweepMode::kRedBlack;
-  // Red = even states, black = odd: the classic index-parity coloring,
-  // deterministic and balanced. Phase j of a half-sweep owns state
-  // 2j+offset; updates land in half_[j] and commit after a barrier, so
-  // every read inside a phase sees the pre-phase vector — the iterate is
-  // a pure function of (v, coloring), independent of thread count.
-  const StateId n_red = red_black ? (n + 1) / 2 : 0;
-  const StateId n_black = red_black ? n / 2 : 0;
-  if (red_black) half_.resize(n_red);
-  const SweepRunner red_sweep(n_red, red_black ? pool : nullptr);
-  const SweepRunner black_sweep(n_black, red_black ? pool : nullptr);
-  std::vector<double> red_change(red_sweep.num_chunks());
-  std::vector<double> black_change(black_sweep.num_chunks());
 
   obs::Span span("mdp.gauss_seidel");
   if (obs::enabled()) {
@@ -690,14 +393,13 @@ MeanPayoffResult BellmanKernel::gauss_seidel(
   // A synchronous Bellman sweep yields the classical arbitrary-v bounds
   // min/max (Tv − v) on the transformed gain; we use it as the certifier
   // (and it captures the greedy policy as a side effect). Valid for any
-  // iterate, which is what lets the red-black path reuse it unchanged.
+  // iterate.
   const auto certify = [&] {
     sweep.run([&](std::size_t c) {
       const auto [begin, end] = sweep.bounds(c);
       double lo = std::numeric_limits<double>::infinity();
       double hi = -lo;
-      double* const prod = plan.fn != nullptr ? prod_[c].data() : nullptr;
-      backup_states(kview, v, begin, end, plan, prod,
+      backup_states(kview, v, begin, end,
                     [&](StateId s, double bellman, ActionId best_a) {
         const double updated = one_minus_tau * bellman + tau * v[s];
         const double delta = updated - v[s];
@@ -734,81 +436,24 @@ MeanPayoffResult BellmanKernel::gauss_seidel(
   constexpr int kCertifyEvery = 16;
   int sweeps_since_certify = 0;
 
-  // One colored half-sweep: compute phase reads the frozen v (products
-  // of a half-sweep's states are scattered through the CSR arrays, so no
-  // gather tiles here — plain scalar backups), commit phase scatters the
-  // updates back after the barrier. Per-chunk max-|Δ| reductions combine
-  // in chunk order (max is exact under any grouping).
-  const auto half_sweep = [&](const SweepRunner& runner, StateId offset,
-                              std::vector<double>& change_out,
-                              double gain_estimate) {
-    double* const updates = half_.data();
-    runner.run([&](std::size_t c) {
-      const auto [jb, je] = runner.bounds(c);
-      double change = 0.0;
-      ActionId scratch_action = kInvalidAction;
-      for (StateId j = jb; j < je; ++j) {
-        const StateId s = 2 * j + offset;
-        const double updated =
-            one_minus_tau * bellman_best(kview, v, s, &scratch_action) +
-            tau * v[s] - gain_estimate;
-        const double diff = std::fabs(updated - v[s]);
-        if (diff > change) change = diff;
-        updates[j] = updated;
-      }
-      change_out[c] = change;
-    });
-    runner.run([&](std::size_t c) {
-      const auto [jb, je] = runner.bounds(c);
-      for (StateId j = jb; j < je; ++j) v[2 * j + offset] = updates[j];
-    });
-  };
-
-  // Prefetch window for the ordered serial sweep: the whole transition
-  // stream (the sweep walks it front to back).
-  const std::uint32_t t_all = kview.tr_begin[kview.action_begin[n]];
-  const std::uint32_t dist =
-      plan.prefetch > 0 ? static_cast<std::uint32_t>(plan.prefetch) : 0;
-
   ActionId scratch_action = kInvalidAction;
   while (iter < options.max_iterations) {
     ++iter;
     ++sweeps_since_certify;
     policy_fresh = false;
     double change = 0.0;
-    if (red_black) {
-      half_sweep(red_sweep, 0, red_change, gain_prime_estimate);
-      half_sweep(black_sweep, 1, black_change, gain_prime_estimate);
-      for (std::size_t c = 0; c < red_change.size(); ++c) {
-        if (red_change[c] > change) change = red_change[c];
-      }
-      for (std::size_t c = 0; c < black_change.size(); ++c) {
-        if (black_change[c] > change) change = black_change[c];
-      }
-      const double shift = v[0];
-      sweep.run([&](std::size_t c) {
-        const auto [begin, end] = sweep.bounds(c);
-        for (StateId s = begin; s < end; ++s) v[s] -= shift;
-      });
-    } else {
-      // The ordered in-place sweep is order-dependent by construction and
-      // stays serial; prefetch is a pure hint, so the prefetched variant
-      // keeps the byte-identical-to-legacy guarantee.
-      for (StateId s = 0; s < n; ++s) {
-        const double bellman =
-            dist > 0
-                ? bellman_best_prefetch(kview, v, s, &scratch_action, dist,
-                                        t_all)
-                : bellman_best(kview, v, s, &scratch_action);
-        const double updated = one_minus_tau * bellman + tau * v[s] -
-                               gain_prime_estimate;
-        const double diff = std::fabs(updated - v[s]);
-        if (diff > change) change = diff;
-        v[s] = updated;  // in place: later states see this immediately
-      }
-      const double shift = v[0];
-      for (StateId s = 0; s < n; ++s) v[s] -= shift;
+    // The in-place sweep is order-dependent by construction and stays
+    // serial.
+    for (StateId s = 0; s < n; ++s) {
+      const double bellman = bellman_best(kview, v, s, &scratch_action);
+      const double updated = one_minus_tau * bellman + tau * v[s] -
+                             gain_prime_estimate;
+      const double diff = std::fabs(updated - v[s]);
+      if (diff > change) change = diff;
+      v[s] = updated;  // in place: later states see this immediately
     }
+    const double shift = v[0];
+    for (StateId s = 0; s < n; ++s) v[s] -= shift;
 
     if ((change < 0.25 * options.tol ||
          sweeps_since_certify >= kCertifyEvery) &&
@@ -830,8 +475,8 @@ MeanPayoffResult BellmanKernel::gauss_seidel(
   if (obs::enabled()) {
     MdpMetrics& metrics = mdp_metrics();
     metrics.solves.add(1);
-    // Every Gauss–Seidel iteration is one full state sweep (in-place,
-    // colored, or synchronous certification).
+    // Every Gauss–Seidel iteration is one full state sweep (in-place or
+    // synchronous certification).
     metrics.sweeps.add(static_cast<std::uint64_t>(iter));
     metrics.iterations.add(static_cast<std::uint64_t>(iter));
   }

@@ -28,10 +28,6 @@ MeanPayoffResult solve_mean_payoff(const Mdp& mdp,
                                    const std::vector<double>& action_reward,
                                    const SolveOptions& options,
                                    const std::vector<double>* warm_start) {
-  SM_REQUIRE(options.tuning.sweep_mode == SweepMode::kOrdered,
-             "sweep mode ", to_string(options.tuning.sweep_mode),
-             " requires the kernel solve path (the legacy AoS reference "
-             "implements only ordered sweeps)");
   switch (options.method) {
     case SolverMethod::kValueIteration:
       return value_iteration(mdp, action_reward, options.mean_payoff,
@@ -75,10 +71,10 @@ MeanPayoffResult solve_mean_payoff(const BellmanKernel& kernel, double beta,
   switch (options.method) {
     case SolverMethod::kValueIteration:
       return kernel.value_iteration(beta, options.mean_payoff, warm_start,
-                                    options.threads, options.tuning);
+                                    options.threads);
     case SolverMethod::kGaussSeidel:
       return kernel.gauss_seidel(beta, options.mean_payoff, warm_start,
-                                 options.threads, options.tuning);
+                                 options.threads);
     case SolverMethod::kPolicyIteration:
     case SolverMethod::kDensePolicyIteration: {
       // No SoA implementation: materialize the reward vector and take the

@@ -2,7 +2,9 @@
 //
 // Algorithm 1 and the sweep drivers address solvers through this facade so
 // that the solver choice is a runtime parameter (mirroring the paper's use
-// of an off-the-shelf model checker as a black box).
+// of an off-the-shelf model checker as a black box). The method and the
+// mean-payoff tolerances decide the numbers; `threads` and `use_kernel`
+// decide only speed — every combination of those two is bit-identical.
 #pragma once
 
 #include <string>
@@ -37,14 +39,6 @@ struct SolveOptions {
   /// path). Off = the legacy AoS reference implementation; both produce
   /// bit-identical results, so this knob too is excluded from job keys.
   bool use_kernel = true;
-  /// Kernel speed/iterate-path knobs. `tuning.gather` and
-  /// `tuning.prefetch_distance` are byte-identical speed knobs (excluded
-  /// from job keys, like `threads`); `tuning.sweep_mode` selects the
-  /// certified Gauss–Seidel iterate path and DOES participate in job
-  /// identity (engine::solver_options_id renders it). The red-black mode
-  /// requires the kernel gs path — the legacy AoS reference implements
-  /// only ordered sweeps.
-  KernelTuning tuning;
 };
 
 /// Maximizes the mean payoff of `mdp` for the per-action reward vector.

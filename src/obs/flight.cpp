@@ -1,7 +1,5 @@
 #include "obs/flight.hpp"
 
-#if SELFISH_OBS_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -133,5 +131,3 @@ void flight_reset() {
 }
 
 }  // namespace obs
-
-#endif  // SELFISH_OBS_ENABLED

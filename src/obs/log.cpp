@@ -1,6 +1,17 @@
 #include "obs/log.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/trace.hpp"
+#include "support/timer.hpp"
 
 namespace obs {
 
@@ -29,24 +40,6 @@ LogLevel parse_log_level(const std::string& name) {
       "invalid log level \"" + name +
       "\" (expected off | error | warn | info | debug)");
 }
-
-}  // namespace obs
-
-#if SELFISH_OBS_ENABLED
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <mutex>
-#include <utility>
-
-#include "obs/trace.hpp"
-#include "support/timer.hpp"
-
-namespace obs {
 
 namespace {
 
@@ -167,5 +160,3 @@ void log(LogLevel level, const char* component, const std::string& message,
 }
 
 }  // namespace obs
-
-#endif  // SELFISH_OBS_ENABLED

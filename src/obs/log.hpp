@@ -14,13 +14,12 @@
 // "dropped" field on the next line that passes.
 //
 // Like every obs facility: observe-only (log lines never feed back into
-// an artifact), one relaxed level check on the fast path when the level
-// is filtered, and compiled down to empty stubs under -DSELFISH_OBS=OFF.
+// an artifact) and one relaxed level check on the fast path when the level
+// is filtered.
 #pragma once
 
 #include <string>
 
-#include "obs/metrics.hpp"  // SELFISH_OBS_ENABLED
 #include "serve/json.hpp"
 
 namespace obs {
@@ -36,8 +35,6 @@ enum class LogLevel : int {
 /// Parses "off" | "error" | "warn" | "info" | "debug"; throws
 /// std::runtime_error on anything else.
 LogLevel parse_log_level(const std::string& name);
-
-#if SELFISH_OBS_ENABLED
 
 /// The current threshold (default kInfo): lines above it are dropped
 /// before any formatting happens.
@@ -74,25 +71,5 @@ inline void log_debug(const char* component, const std::string& message,
                       serve::JsonMembers attrs = {}) {
   log(LogLevel::kDebug, component, message, std::move(attrs));
 }
-
-#else  // !SELFISH_OBS_ENABLED
-
-inline LogLevel log_level() { return LogLevel::kOff; }
-inline void set_log_level(LogLevel) {}
-inline void open_log(const std::string&) {}
-inline void close_log() {}
-inline void set_log_rate_limit(double, double) {}
-inline void log(LogLevel, const char*, const std::string&,
-                serve::JsonMembers = {}) {}
-inline void log_error(const char*, const std::string&,
-                      serve::JsonMembers = {}) {}
-inline void log_warn(const char*, const std::string&,
-                     serve::JsonMembers = {}) {}
-inline void log_info(const char*, const std::string&,
-                     serve::JsonMembers = {}) {}
-inline void log_debug(const char*, const std::string&,
-                      serve::JsonMembers = {}) {}
-
-#endif  // SELFISH_OBS_ENABLED
 
 }  // namespace obs

@@ -14,13 +14,10 @@
 //   2. Observability must be byte-invariant: nothing in this module feeds
 //      back into any artifact (CSV, rendered report, served body), and
 //      `engine::JobKey` never sees a metric field. CI pins artifacts
-//      identical with metrics on, off, and compiled out.
-//   3. Three switch positions. On (default). Off at runtime
-//      (SELFISH_OBS=0 in the environment, or obs::set_enabled(false)):
-//      instrument calls early-return on one relaxed flag load. Compiled
-//      out (-DSELFISH_OBS=OFF in CMake, which defines
-//      SELFISH_OBS_ENABLED=0): every class below collapses to an empty
-//      inline stub and the instrumentation vanishes from the binary.
+//      identical with metrics on and off.
+//   3. Two switch positions. On (default). Off at runtime (SELFISH_OBS=0
+//      in the environment, or obs::set_enabled(false)): instrument calls
+//      early-return on one relaxed flag load.
 //
 // Naming scheme: selfish_<subsystem>_<name>[_<unit>], subsystems mdp |
 // engine | net | serve. Counters end in _total; histograms carry their
@@ -35,10 +32,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#ifndef SELFISH_OBS_ENABLED
-#define SELFISH_OBS_ENABLED 1
-#endif
 
 namespace obs {
 
@@ -64,11 +57,8 @@ struct HistogramSnapshot {
 std::vector<double> exponential_buckets(double start, double factor,
                                         int count);
 
-#if SELFISH_OBS_ENABLED
-
-/// Runtime switch (third position — compiled out — is SELFISH_OBS_ENABLED).
-/// Initialized from the SELFISH_OBS environment variable ("0"/"false" =
-/// off); instrument paths check it with one relaxed load.
+/// Runtime switch, initialized from the SELFISH_OBS environment variable
+/// ("0"/"false" = off); instrument paths check it with one relaxed load.
 bool enabled();
 void set_enabled(bool on);
 
@@ -249,77 +239,5 @@ Histogram& histogram(const std::string& name, const std::string& help,
 
 /// Prometheus text exposition of the global registry.
 std::string prometheus_text();
-
-#else  // !SELFISH_OBS_ENABLED — inline no-op stubs with the same API.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) {}
-  void add(std::int64_t) {}
-  void max_of(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Histogram {
- public:
-  void observe(double) {}
-  HistogramSnapshot snapshot() const { return {}; }
-  void reset() {}
-};
-
-class Registry {
- public:
-  Counter& counter(const std::string&, const std::string&,
-                   const std::string& = "") {
-    return counter_;
-  }
-  Gauge& gauge(const std::string&, const std::string&,
-               const std::string& = "") {
-    return gauge_;
-  }
-  Histogram& histogram(const std::string&, const std::string&,
-                       std::vector<double>, const std::string& = "") {
-    return histogram_;
-  }
-  std::string expose() const {
-    return "# selfish-mining observability compiled out (SELFISH_OBS=0)\n";
-  }
-  void reset_values() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-Registry& registry();
-
-inline Counter& counter(const std::string& name, const std::string& help,
-                        const std::string& labels = "") {
-  return registry().counter(name, help, labels);
-}
-inline Gauge& gauge(const std::string& name, const std::string& help,
-                    const std::string& labels = "") {
-  return registry().gauge(name, help, labels);
-}
-inline Histogram& histogram(const std::string& name, const std::string& help,
-                            std::vector<double> bounds,
-                            const std::string& labels = "") {
-  return registry().histogram(name, help, std::move(bounds), labels);
-}
-inline std::string prometheus_text() { return registry().expose(); }
-
-#endif  // SELFISH_OBS_ENABLED
 
 }  // namespace obs

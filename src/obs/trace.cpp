@@ -1,6 +1,13 @@
 #include "obs/trace.hpp"
 
+#include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <mutex>
+#include <stdexcept>
+
+#include "obs/flight.hpp"
 
 namespace obs {
 
@@ -29,20 +36,6 @@ std::uint64_t parse_trace_id(const std::string& hex) {
   }
   return value;
 }
-
-}  // namespace obs
-
-#if SELFISH_OBS_ENABLED
-
-#include <atomic>
-#include <cstring>
-#include <fstream>
-#include <mutex>
-#include <stdexcept>
-
-#include "obs/flight.hpp"
-
-namespace obs {
 
 namespace {
 
@@ -161,5 +154,3 @@ void Span::finish(double elapsed_seconds) {
 }
 
 }  // namespace obs
-
-#endif  // SELFISH_OBS_ENABLED

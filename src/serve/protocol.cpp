@@ -271,11 +271,7 @@ std::string finish_reply(JsonMembers members) {
 /// The observability switch position, advertised by `ping` so a client
 /// knows whether metrics/trace admin kinds will carry real data.
 const char* obs_mode() {
-#if SELFISH_OBS_ENABLED
   return obs::enabled() ? "on" : "runtime-off";
-#else
-  return "compiled-out";
-#endif
 }
 
 /// `ping` is the protocol v1 capability handshake: protocol version, the

@@ -4,8 +4,8 @@
 // so every chunk boundary falls on a cache-line edge; for that to keep two
 // workers' stores off the same line, the buffers themselves must start on
 // a 64-byte boundary — std::vector<double> only guarantees 16. The buffer
-// is also padded up to a multiple of 8 doubles so vector loads that run to
-// the rounded chunk end never read past the allocation.
+// is also padded up to a multiple of 8 doubles, so its last cache line
+// belongs to it alone and no other heap object shares it.
 #pragma once
 
 #include <algorithm>
@@ -16,7 +16,7 @@
 
 namespace support {
 
-/// Doubles per 64-byte cache line (and per AVX-512 vector).
+/// Doubles per 64-byte cache line.
 inline constexpr std::size_t kDoublesPerLine = 8;
 
 /// A fixed-capacity array of doubles whose storage starts on a 64-byte

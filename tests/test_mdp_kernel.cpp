@@ -9,10 +9,8 @@
 #include <cstring>
 
 #include "analysis/algorithm1.hpp"
-#include "mdp/bellman_gather.hpp"
 #include "mdp/solve.hpp"
 #include "selfish/build.hpp"
-#include "support/aligned.hpp"
 #include "support/check.hpp"
 #include "test_helpers.hpp"
 
@@ -222,119 +220,6 @@ TEST(BellmanKernel, RejectsBadArguments) {
                support::InvalidArgument);
 }
 
-/// Every gather mode compiled in AND supported by this CPU, scalar first.
-/// Hosts without AVX exercise just the scalar entry — the dispatch
-/// contract (unavailable → gather_mode_available false) is still covered.
-std::vector<mdp::GatherMode> available_gather_modes() {
-  std::vector<mdp::GatherMode> modes{mdp::GatherMode::kScalar};
-  for (const auto mode :
-       {mdp::GatherMode::kAvx2, mdp::GatherMode::kAvx512}) {
-    if (mdp::gather_mode_available(mode)) modes.push_back(mode);
-  }
-  return modes;
-}
-
-TEST(BellmanKernelGather, AllModesBitIdenticalAtEveryThreadCount) {
-  // The ISSUE's acceptance bar: the scalar fallback (and every SIMD
-  // gather path) is bit-identical to the plain path at every thread
-  // count. Baseline = scalar, no prefetch, single thread — the exact
-  // arithmetic of the legacy AoS path (pinned above).
-  const auto model = build(2, 2);
-  const mdp::BellmanKernel kernel(model.mdp);
-  mdp::KernelTuning baseline;
-  baseline.gather = mdp::GatherMode::kScalar;
-  baseline.prefetch_distance = 0;
-  const double beta = 0.43927;
-  const auto vi_base = kernel.value_iteration(beta, {}, nullptr, 1, baseline);
-  const auto gs_base = kernel.gauss_seidel(beta, {}, nullptr, 1, baseline);
-  for (const auto mode : available_gather_modes()) {
-    for (const int prefetch : {0, 8, 64}) {
-      for (const int threads : {1, 2, 8}) {
-        mdp::KernelTuning tuning;
-        tuning.gather = mode;
-        tuning.prefetch_distance = prefetch;
-        const std::string label = std::string("gather=") +
-                                  mdp::to_string(mode) +
-                                  " prefetch=" + std::to_string(prefetch) +
-                                  " threads=" + std::to_string(threads);
-        expect_identical(
-            kernel.value_iteration(beta, {}, nullptr, threads, tuning),
-            vi_base, "vi " + label);
-        expect_identical(
-            kernel.gauss_seidel(beta, {}, nullptr, threads, tuning),
-            gs_base, "gs " + label);
-      }
-    }
-  }
-}
-
-TEST(BellmanKernelGather, AutoModeMatchesScalarByteForByte) {
-  // kAuto dispatches to the widest available ISA (possibly scalar);
-  // whatever it picks must reproduce the scalar bytes.
-  const auto model = build(2, 1);
-  const mdp::BellmanKernel kernel(model.mdp);
-  mdp::KernelTuning scalar;
-  scalar.gather = mdp::GatherMode::kScalar;
-  expect_identical(kernel.value_iteration(0.41, {}, nullptr, 1, {}),
-                   kernel.value_iteration(0.41, {}, nullptr, 1, scalar),
-                   "auto vs scalar vi");
-  expect_identical(kernel.gauss_seidel(0.41, {}, nullptr, 1, {}),
-                   kernel.gauss_seidel(0.41, {}, nullptr, 1, scalar),
-                   "auto vs scalar gs");
-}
-
-TEST(BellmanKernelGather, HardwareGatherFunctionsMatchScalarReference) {
-  // Direct contract check of the dispatched GatherProductsFn entries
-  // against the scalar reference on an adversarial index pattern
-  // (repeats, strides, tail shorter than a vector).
-  support::Rng rng(99);
-  constexpr std::uint32_t kCount = 1027;  // deliberately not a multiple of 8
-  std::vector<double> values(513);
-  for (double& v : values) v = rng.next_double() * 2.0 - 1.0;
-  std::vector<mdp::StateId> targets(kCount);
-  std::vector<double> probs(kCount);
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    targets[i] = static_cast<mdp::StateId>(
-        rng.next_below(static_cast<std::uint64_t>(values.size())));
-    probs[i] = rng.next_double();
-  }
-  support::AlignedDoubles expected(kCount), actual(kCount);
-  mdp::detail::scalar_gather_products(probs.data(), targets.data(),
-                                      values.data(), expected.data(), kCount,
-                                      /*prefetch=*/8);
-  const auto check = [&](mdp::detail::GatherProductsFn fn, const char* name) {
-    if (fn == nullptr) {
-      GTEST_LOG_(INFO) << name << " unavailable on this build/CPU; skipped";
-      return;
-    }
-    fn(probs.data(), targets.data(), values.data(), actual.data(), kCount, 0);
-    EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                          kCount * sizeof(double)),
-              0)
-        << name;
-  };
-  check(mdp::detail::avx2_gather_products(), "avx2");
-  check(mdp::detail::avx512_gather_products(), "avx512");
-}
-
-TEST(BellmanKernelGather, ExplicitUnavailableModeRejects) {
-  const mdp::Mdp m = test_helpers::two_state_cycle();
-  const mdp::BellmanKernel kernel(m);
-  for (const auto mode :
-       {mdp::GatherMode::kAvx2, mdp::GatherMode::kAvx512}) {
-    if (mdp::gather_mode_available(mode)) continue;
-    mdp::KernelTuning tuning;
-    tuning.gather = mode;
-    EXPECT_THROW(kernel.value_iteration(0.0, {}, nullptr, 1, tuning),
-                 support::InvalidArgument)
-        << mdp::to_string(mode);
-  }
-  mdp::KernelTuning negative;
-  negative.prefetch_distance = -1;
-  EXPECT_THROW(kernel.value_iteration(0.0, {}, nullptr, 1, negative),
-               support::InvalidArgument);
-}
-
 TEST(BellmanKernel, WarmStartSizeMismatchRejectsWithReason) {
   // The pre-PR kernel compared warm_start->size() (size_t) against the
   // 32-bit state count and silently cold-started on mismatch — masking
@@ -355,115 +240,6 @@ TEST(BellmanKernel, WarmStartSizeMismatchRejectsWithReason) {
   // Exact-size warm start still accepted.
   const auto seed = kernel.value_iteration(0.41);
   EXPECT_NO_THROW(kernel.value_iteration(0.42, {}, &seed.values));
-}
-
-TEST(BellmanKernelRedBlack, GoldenPinsOnDepthTwoAndThree) {
-  // Red-black Gauss–Seidel is a different certified iterate path than
-  // the ordered reference; these goldens pin it (any change to the
-  // coloring, phase order, or commit discipline must show up here and
-  // come with a kCodeVersionSalt bump). Generated at d∈{2,3}, f=1, l=4,
-  // p=0.3, γ=0.5, β=0.41, single thread.
-  struct Golden {
-    int d;
-    mdp::StateId states;
-    double gain, gain_lo, gain_hi;
-    int iterations;
-    double v1, v_last;
-  };
-  const Golden goldens[] = {
-      {2, 148, 0.00016246972773376056, 0.00016245659662839085,
-       0.00016248285883913027, 145, 0.64088063559476904,
-       3.6727625732759055},
-      {3, 1496, 0.012378779205409529, 0.012378754874594833,
-       0.012378803536224225, 187, 0.59414184315529683,
-       4.5353658490651458},
-  };
-  mdp::KernelTuning rb;
-  rb.sweep_mode = mdp::SweepMode::kRedBlack;
-  for (const Golden& g : goldens) {
-    const auto model = build(g.d, 1);
-    ASSERT_EQ(model.mdp.num_states(), g.states);
-    const mdp::BellmanKernel kernel(model.mdp);
-    const auto r = kernel.gauss_seidel(0.41, {}, nullptr, 1, rb);
-    const std::string label = "d=" + std::to_string(g.d);
-    EXPECT_TRUE(r.converged) << label;
-    EXPECT_EQ(r.gain, g.gain) << label;
-    EXPECT_EQ(r.gain_lo, g.gain_lo) << label;
-    EXPECT_EQ(r.gain_hi, g.gain_hi) << label;
-    EXPECT_EQ(r.iterations, g.iterations) << label;
-    EXPECT_EQ(r.values[1], g.v1) << label;
-    EXPECT_EQ(r.values[g.states - 1], g.v_last) << label;
-  }
-}
-
-TEST(BellmanKernelRedBlack, ThreadCountAndGatherInvariantByteForByte) {
-  // The colored path must honor the same determinism contract as the
-  // ordered one: identical bytes at any thread count and gather mode.
-  const auto model = build(2, 2);
-  const mdp::BellmanKernel kernel(model.mdp);
-  mdp::KernelTuning base;
-  base.sweep_mode = mdp::SweepMode::kRedBlack;
-  base.gather = mdp::GatherMode::kScalar;
-  base.prefetch_distance = 0;
-  const auto reference = kernel.gauss_seidel(0.43927, {}, nullptr, 1, base);
-  for (const auto mode : available_gather_modes()) {
-    for (const int threads : {1, 8}) {
-      mdp::KernelTuning tuning;
-      tuning.sweep_mode = mdp::SweepMode::kRedBlack;
-      tuning.gather = mode;
-      expect_identical(
-          kernel.gauss_seidel(0.43927, {}, nullptr, threads, tuning),
-          reference,
-          std::string("redblack gather=") + mdp::to_string(mode) +
-              " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-TEST(BellmanKernelRedBlack, AnalyzeAgreesWithOrderedWithinEpsilon) {
-  // Both sweep modes certify against the same Odoni bounds, so the
-  // searches land within one ε of each other; the exact ERRev of the
-  // extracted policies agrees to solver tolerance.
-  const auto model = build(2, 1);
-  analysis::AnalysisOptions ordered, redblack;
-  ordered.solver.method = mdp::SolverMethod::kGaussSeidel;
-  redblack.solver.method = mdp::SolverMethod::kGaussSeidel;
-  redblack.solver.tuning.sweep_mode = mdp::SweepMode::kRedBlack;
-  const auto a = analysis::analyze(model, ordered);
-  const auto b = analysis::analyze(model, redblack);
-  EXPECT_NEAR(a.errev_lower_bound, b.errev_lower_bound, 2.0 * 1e-3);
-  EXPECT_NEAR(a.errev_of_policy, b.errev_of_policy, 2.0 * 1e-3);
-  // Pinned analyze-level goldens for the red-black path.
-  EXPECT_EQ(b.errev_lower_bound, 0.41031014318856607);
-  EXPECT_EQ(b.errev_of_policy, 0.41031014318856607);
-}
-
-TEST(BellmanKernelRedBlack, LegacyPathRejectsRedBlack) {
-  // The AoS reference implements only ordered sweeps; asking the legacy
-  // facade for red-black must fail loudly instead of answering with the
-  // wrong iterate path.
-  const auto model = build(2, 1);
-  mdp::SolveOptions options;
-  options.method = mdp::SolverMethod::kGaussSeidel;
-  options.tuning.sweep_mode = mdp::SweepMode::kRedBlack;
-  const auto rewards = model.mdp.beta_rewards(0.41);
-  EXPECT_THROW(mdp::solve_mean_payoff(model.mdp, rewards, options),
-               support::InvalidArgument);
-}
-
-TEST(BellmanKernel, SweepAndGatherModeParsing) {
-  EXPECT_EQ(mdp::parse_sweep_mode("ordered"), mdp::SweepMode::kOrdered);
-  EXPECT_EQ(mdp::parse_sweep_mode("redblack"), mdp::SweepMode::kRedBlack);
-  EXPECT_EQ(mdp::parse_sweep_mode("red-black"), mdp::SweepMode::kRedBlack);
-  EXPECT_THROW(mdp::parse_sweep_mode("zigzag"), support::InvalidArgument);
-  EXPECT_STREQ(mdp::to_string(mdp::SweepMode::kRedBlack), "redblack");
-  EXPECT_EQ(mdp::parse_gather_mode("auto"), mdp::GatherMode::kAuto);
-  EXPECT_EQ(mdp::parse_gather_mode("scalar"), mdp::GatherMode::kScalar);
-  EXPECT_EQ(mdp::parse_gather_mode("avx2"), mdp::GatherMode::kAvx2);
-  EXPECT_EQ(mdp::parse_gather_mode("avx512"), mdp::GatherMode::kAvx512);
-  EXPECT_THROW(mdp::parse_gather_mode("sse9"), support::InvalidArgument);
-  EXPECT_TRUE(mdp::gather_mode_available(mdp::GatherMode::kAuto));
-  EXPECT_TRUE(mdp::gather_mode_available(mdp::GatherMode::kScalar));
 }
 
 TEST(BellmanKernel, ReportsSoAFootprint) {

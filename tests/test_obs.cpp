@@ -1,9 +1,6 @@
 // Observability layer: registry correctness under concurrency, histogram
 // and exposition golden cases, and the byte-invariance contract — the
-// same artifacts whether obs is on or off at runtime. (The third switch
-// position, compiled out via -DSELFISH_OBS=OFF, is pinned by CI's
-// serve-smoke byte-compare; these tests still pass in that build because
-// the invariance cases compare a no-op against a no-op.)
+// same artifacts whether obs is on or off at runtime.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -43,8 +40,6 @@ selfish::AttackParams tiny_params() {
   return selfish::AttackParams{.p = 0.25, .gamma = 0.5, .d = 1, .f = 1,
                                .l = 2};
 }
-
-#if SELFISH_OBS_ENABLED
 
 TEST(ObsCounter, NoLostIncrementsUnderThreadPool) {
   const EnabledGuard on(true);
@@ -204,11 +199,7 @@ TEST(ObsInstrumentation, SolverFamiliesAppearInGlobalScrape) {
             std::string::npos);
 }
 
-#endif  // SELFISH_OBS_ENABLED
-
-// --- Byte-invariance: identical artifacts with obs on and off. These run
-// in every build mode; with obs compiled out both sides are no-ops and
-// equality is trivial, which is exactly the contract. -------------------
+// --- Byte-invariance: identical artifacts with obs on and off. ---------
 
 TEST(ObsInvariance, AnalysisResultsIdenticalOnAndOff) {
   const auto model = selfish::build_model(tiny_params());

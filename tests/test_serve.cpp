@@ -579,10 +579,8 @@ TEST(ServeProtocol, TraceIdIsEchoedAndValidated) {
   serve::Json reply =
       reply_of(service, "{\"kind\":\"ping\",\"trace_id\":\"deadbeef\"}");
   EXPECT_TRUE(reply.find("ok")->as_bool());
-#if SELFISH_OBS_ENABLED
   ASSERT_NE(reply.find("trace_id"), nullptr);
   EXPECT_EQ(reply.find("trace_id")->as_string(), "00000000deadbeef");
-#endif
 
   // A request without one gets no trace_id member: server-minted span ids
   // must never leak into replies (byte-stable responses run to run).
@@ -602,7 +600,6 @@ TEST(ServeProtocol, TraceIdIsEchoedAndValidated) {
   }
 }
 
-#if SELFISH_OBS_ENABLED
 TEST(ServeProtocol, StatsCarriesWorstLatencyExemplars) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
@@ -626,7 +623,6 @@ TEST(ServeProtocol, StatsCarriesWorstLatencyExemplars) {
   EXPECT_TRUE(found) << "client trace id missing from exemplars";
   obs::set_enabled(was_enabled);
 }
-#endif
 
 // ------------------------------------------------- HTTP scrape endpoints
 
@@ -747,8 +743,7 @@ TEST(ServeProtocol, PingAdvertisesCapabilities) {
   EXPECT_EQ(limits->find("max_inflight_per_connection")->as_number(), 3.0);
   EXPECT_EQ(limits->find("idle_timeout_seconds")->as_number(), 2.5);
   const std::string obs_mode = pong.find("obs")->as_string();
-  EXPECT_TRUE(obs_mode == "on" || obs_mode == "runtime-off" ||
-              obs_mode == "compiled-out");
+  EXPECT_TRUE(obs_mode == "on" || obs_mode == "runtime-off") << obs_mode;
 }
 
 TEST(ServeSession, PingReflectsServerOptions) {
