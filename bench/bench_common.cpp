@@ -33,7 +33,7 @@ support::Options standard_options(int argc, const char* const* argv,
   options.declare("epsilon", "0.001",
                   "precision of Algorithm 1 (certified bracket width)");
   options.declare("solver", "vi",
-                  "mean-payoff solver: vi | gs | pi | dense");
+                  "mean-payoff solver: vi | gs | dense");
   options.declare("threads", "0",
                   "worker threads for parallel harness stages (0 = all "
                   "cores); also via SELFISH_THREADS");

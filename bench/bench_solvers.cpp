@@ -1,15 +1,16 @@
-// Solver micro-benchmarks (google-benchmark): model construction, one
-// mean-payoff solve per method — legacy AoS reference vs the SoA
-// BellmanKernel at several thread counts — full Algorithm 1 on both
-// paths, the single-tree baseline, and the stationary evaluation: the
+// Solver micro-benchmarks (google-benchmark): model construction, the
+// SoA BellmanKernel's build and its vi/gs solves at several thread
+// counts, dense policy iteration on the smallest model, full Algorithm 1,
+// the exact-ERRev stationary evaluation and the single-tree baseline: the
 // building blocks whose costs compose into Table 1.
 //
 // The kernel rows are the perf-trajectory anchors: CI's solver-perf job
 // runs this binary with --benchmark_out=BENCH_solvers.json and uploads
-// the JSON, so kernel-vs-legacy and 1-vs-N-thread ratios are recorded
-// per commit. BM_StreamTriad measures the host's memory-bandwidth peak
-// that the kernel rows' achieved_gbps is judged against. (Results are
-// bit-identical across every thread count — test_mdp_kernel pins that.)
+// the JSON, so 1-vs-N-thread ratios and the vi-vs-gs comparison are
+// recorded per commit. BM_StreamTriad and BM_SweepStream measure the
+// host's memory-bandwidth peaks that the kernel rows' achieved_gbps is
+// judged against. (Results are bit-identical across every thread count —
+// test_mdp_kernel pins that.)
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -21,7 +22,6 @@
 #include "baselines/single_tree.hpp"
 #include "mdp/bellman_kernel.hpp"
 #include "mdp/dense_solver.hpp"
-#include "mdp/policy_iteration.hpp"
 #include "mdp/solve.hpp"
 #include "obs/metrics.hpp"
 #include "selfish/build.hpp"
@@ -82,43 +82,6 @@ void BM_BuildModel(benchmark::State& state) {
 BENCHMARK(BM_BuildModel)->Args({1, 1})->Args({2, 1})->Args({2, 2})
     ->Unit(benchmark::kMillisecond);
 
-void BM_ValueIteration(benchmark::State& state) {
-  // The seed's AoS path — the baseline every kernel row compares against.
-  const auto model = selfish::build_model(
-      params_for(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1))));
-  const auto rewards = model.mdp.beta_rewards(0.4);
-  for (auto _ : state) {
-    const auto result = mdp::value_iteration(model.mdp, rewards);
-    benchmark::DoNotOptimize(result.gain);
-  }
-  state.counters["states"] =
-      static_cast<double>(model.mdp.num_states());
-}
-BENCHMARK(BM_ValueIteration)
-    ->Args({1, 1})->Args({2, 1})->Args({2, 2})->Args({3, 2})
-    ->Unit(benchmark::kMillisecond);
-// The paper's heaviest configuration (≈1.2M states, ≈10.4M transitions):
-// the bandwidth-bound regime the SoA kernel targets. One iteration — a
-// solve takes tens of seconds.
-BENCHMARK(BM_ValueIteration)->Args({4, 2})
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_GaussSeidel(benchmark::State& state) {
-  const auto model = selfish::build_model(
-      params_for(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1))));
-  const auto rewards = model.mdp.beta_rewards(0.4);
-  for (auto _ : state) {
-    const auto result =
-        mdp::gauss_seidel_value_iteration(model.mdp, rewards);
-    benchmark::DoNotOptimize(result.gain);
-  }
-}
-BENCHMARK(BM_GaussSeidel)
-    ->Args({1, 1})->Args({2, 1})->Args({2, 2})->Args({3, 2})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_KernelBuild(benchmark::State& state) {
   // One-time SoA re-indexing cost, amortized over a whole analysis.
   const auto model = selfish::build_model(
@@ -133,7 +96,7 @@ BENCHMARK(BM_KernelBuild)->Args({2, 2})->Args({3, 2})
     ->Unit(benchmark::kMillisecond);
 
 void BM_KernelValueIteration(benchmark::State& state) {
-  // SoA kernel, threads = range(2); bit-identical to BM_ValueIteration
+  // SoA kernel, threads = range(2); bit-identical at every thread count
   // (test_mdp_kernel pins that).
   const auto model = selfish::build_model(
       params_for(static_cast<int>(state.range(0)),
@@ -165,6 +128,9 @@ BENCHMARK(BM_KernelValueIteration)
     ->Args({2, 2, 1})->Args({2, 2, 8})
     ->Args({3, 2, 1})->Args({3, 2, 2})->Args({3, 2, 4})->Args({3, 2, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+// The paper's heaviest configuration (≈1.2M states, ≈10.4M transitions):
+// the bandwidth-bound regime the SoA kernel targets. One iteration — a
+// solve takes seconds.
 BENCHMARK(BM_KernelValueIteration)
     ->Args({4, 2, 1})->Args({4, 2, 2})->Args({4, 2, 4})->Args({4, 2, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);
@@ -276,19 +242,6 @@ void BM_SweepStream(benchmark::State& state) {
 BENCHMARK(BM_SweepStream)->Args({3, 2})->Args({4, 2})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_PolicyIteration(benchmark::State& state) {
-  const auto model = selfish::build_model(
-      params_for(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1))));
-  const auto rewards = model.mdp.beta_rewards(0.4);
-  for (auto _ : state) {
-    const auto result = mdp::policy_iteration(model.mdp, rewards);
-    benchmark::DoNotOptimize(result.gain);
-  }
-}
-BENCHMARK(BM_PolicyIteration)->Args({1, 1})->Args({2, 1})->Args({2, 2})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_DensePolicyIteration(benchmark::State& state) {
   // Dense evaluation is O(n³): only the small models are feasible.
   const auto model = selfish::build_model(params_for(1, 1));
@@ -318,22 +271,6 @@ BENCHMARK(BM_Algorithm1)
     ->Args({1, 1, 1})->Args({2, 1, 1})->Args({2, 2, 1})
     ->Args({3, 2, 1})->Args({3, 2, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_Algorithm1Legacy(benchmark::State& state) {
-  // The seed's path: AoS sweeps, a beta_rewards vector per search step.
-  const auto model = selfish::build_model(
-      params_for(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1))));
-  analysis::AnalysisOptions options;
-  options.epsilon = 1e-3;
-  options.solver.use_kernel = false;
-  for (auto _ : state) {
-    const auto result = analysis::analyze(model, options);
-    benchmark::DoNotOptimize(result.errev_lower_bound);
-  }
-}
-BENCHMARK(BM_Algorithm1Legacy)->Args({2, 2})->Args({3, 2})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ExactErrevEvaluation(benchmark::State& state, int d, int f,
                              double epsilon) {

@@ -1,7 +1,6 @@
 #include "analysis/algorithm1.hpp"
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "analysis/errev.hpp"
@@ -28,17 +27,9 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
   const support::Timer timer;
   const mdp::Mdp& m = model.mdp;
 
-  // One SoA view serves every search step (vi/gs only — pi/dense have
-  // no kernel implementation and keep the legacy AoS path). The kernel
-  // fuses the β-reward into the backup, so no per-step reward vector is
-  // materialized; the legacy path reuses one buffer across steps instead.
-  const bool kernel_path =
-      options.solver.use_kernel &&
-      (options.solver.method == mdp::SolverMethod::kValueIteration ||
-       options.solver.method == mdp::SolverMethod::kGaussSeidel);
-  std::optional<mdp::BellmanKernel> kernel;
-  if (kernel_path) kernel.emplace(m);
-  std::vector<double> rewards;  // legacy-path buffer, reused across steps
+  // One SoA view serves every search step; it fuses the β-reward into the
+  // backup, so no per-step reward vector is materialized.
+  const mdp::BellmanKernel kernel(m);
   mdp::SolveOptions solver = options.solver;  // tol tightens on slow steps
   int tightenings = 0;
 
@@ -68,13 +59,8 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
     const double beta = result.beta_lo + overshoot;
     obs::Span span("analysis.step");
     const std::vector<double>* seed = values.empty() ? nullptr : &values;
-    mdp::MeanPayoffResult solve;
-    if (kernel_path) {
-      solve = mdp::solve_mean_payoff(*kernel, beta, solver, seed);
-    } else {
-      m.beta_rewards_into(beta, rewards);
-      solve = mdp::solve_mean_payoff(m, rewards, solver, seed);
-    }
+    mdp::MeanPayoffResult solve =
+        mdp::solve_mean_payoff(kernel, beta, solver, seed);
     SM_ENSURE(solve.converged, "mean-payoff solver did not converge at beta=",
               beta);
     ++result.search_iterations;

@@ -34,12 +34,16 @@
 // less than ε/4 means tol is too loose for this ε, and the step is
 // re-solved with tol ×0.1, at most four times per analysis.
 //
-// Implementation: every vi/gs solve runs on one mdp::BellmanKernel built
-// per analysis — the SoA view with the β-reward fused into the backup,
-// whose sweeps fan out over AnalysisOptions::solver.threads workers with
-// bit-identical results at any thread count. Each solve is traced as one
-// `analysis.step` span carrying β, gain_lo, gain_hi, sweeps and the
-// step's decision (newton, certify or tighten).
+// Implementation: every solve runs on one mdp::BellmanKernel built per
+// analysis — the SoA view with the β-reward fused into the backup, whose
+// sweeps fan out over AnalysisOptions::solver.threads workers with
+// bit-identical results at any thread count (dense, for tiny models,
+// solves the AoS model through the same facade). Each answer's
+// certificate — gain_hi < 0 at β_hi on final_values, and the strategy's
+// stationary ratio — can be re-checked independently of the solver with
+// mdp/certificate_check.hpp; the golden and paper-claim tests do so.
+// Each solve is traced as one `analysis.step` span carrying β, gain_lo,
+// gain_hi, sweeps and the step's decision (newton, certify or tighten).
 //
 // The Newton step's exact ratio is a stationary solve on σ's chain
 // (analysis/errev.hpp): Gauss–Seidel sweeps over its closed class, ~50

@@ -30,9 +30,9 @@ std::string JobKey::hex() const {
   return buffer;
 }
 
-/// SolveOptions::threads and ::use_kernel are deliberately absent: the
-/// kernel is pinned bit-identical to the legacy path at any thread count
-/// (test_mdp_kernel), so neither knob can change a stored result.
+/// SolveOptions::threads is deliberately absent: the kernel's results are
+/// bit-identical at any thread count (test_mdp_kernel), so it cannot
+/// change a stored result.
 /// AnalysisOptions::evaluate_exact_errev is absent too: it has no effect.
 /// The `sweep=ordered` token is a constant: Gauss–Seidel sweeps in state
 /// order only, and the token stays so keys written by earlier builds

@@ -101,8 +101,7 @@ void check_options(const MeanPayoffOptions& options) {
 
 /// Raw-pointer snapshot of the kernel's hot arrays, hoisted once per
 /// solve so the backup helper below inlines into the sweep loops with
-/// all base pointers in registers — matching the codegen of the legacy
-/// path's inline free function (a member function reading through
+/// all base pointers in registers (a member function reading through
 /// this->mdp_ measurably did not).
 struct BellmanKernelView {
   const ActionId* action_begin;   ///< Size num_states + 1.
@@ -123,7 +122,6 @@ namespace {
 
 /// Best Q-value over the actions of `s` against `values` and the fused
 /// rewards; writes the arg-max (lowest index wins ties) to `best_action`.
-/// Bit-identical to the legacy bellman_best on beta_rewards(beta).
 inline double bellman_best(const BellmanKernelView& k, const double* values,
                            StateId s, ActionId* best_action) {
   double best = -std::numeric_limits<double>::infinity();
@@ -429,9 +427,13 @@ MeanPayoffResult BellmanKernel::gauss_seidel(
   };
 
   int iter = 0;
-  // In-place backups absorb the mean-payoff drift non-uniformly, so the
-  // sweep subtracts the current gain estimate (GS on the Poisson equation;
-  // see mdp/value_iteration.cpp for the full derivation).
+  // In-place backups absorb the mean-payoff drift non-uniformly (each
+  // state sees a different mix of updated predecessors), so plain GS would
+  // converge to something other than the bias. The fix is the classical
+  // one: subtract the current gain estimate inside the sweep — the update
+  // becomes GS on the *Poisson equation* h = T'h − g'·1, whose fixpoint is
+  // the true bias — and refresh the gain estimate from the certifying
+  // synchronous sweeps.
   double gain_prime_estimate = 0.0;  // gain of the transformed MDP
   constexpr int kCertifyEvery = 16;
   int sweeps_since_certify = 0;

@@ -50,7 +50,9 @@ void Options::parse(int argc, const char* const* argv) {
     } else {
       name = arg;
       const auto it = decls_.find(name);
-      SM_REQUIRE(it != decls_.end(), "unknown option: --", name);
+      if (it == decls_.end()) {
+        throw InvalidArgument("unknown option: --" + name);
+      }
       // A bare flag is a boolean "true"; otherwise consume the next token.
       const bool is_flag = it->second.default_value == "false" ||
                            it->second.default_value == "true";
@@ -61,7 +63,9 @@ void Options::parse(int argc, const char* const* argv) {
         value = argv[++i];
       }
     }
-    SM_REQUIRE(decls_.find(name) != decls_.end(), "unknown option: --", name);
+    if (decls_.find(name) == decls_.end()) {
+      throw InvalidArgument("unknown option: --" + name);
+    }
     values_[name] = value;
   }
 }

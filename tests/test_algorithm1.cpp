@@ -12,6 +12,8 @@
 
 #include "analysis/algorithm1.hpp"
 #include "analysis/errev.hpp"
+#include "mdp/bellman_kernel.hpp"
+#include "mdp/certificate_check.hpp"
 #include "mdp/solve.hpp"
 #include "selfish/build.hpp"
 
@@ -52,10 +54,10 @@ TEST(Algorithm1, TighterEpsilonNarrowsTheBand) {
 TEST(Algorithm1, MeanPayoffMonotoneInBeta) {
   // Theorem 3.1 rests on MP*_β decreasing in β; verify on the real model.
   const auto model = small_model();
+  const mdp::BellmanKernel kernel(model.mdp);
   double previous = 1e100;
   for (double beta = 0.0; beta <= 1.0; beta += 0.2) {
-    const auto solve =
-        mdp::solve_mean_payoff(model.mdp, model.mdp.beta_rewards(beta));
+    const auto solve = kernel.value_iteration(beta);
     ASSERT_TRUE(solve.converged);
     EXPECT_LE(solve.gain, previous + 1e-7) << "beta=" << beta;
     previous = solve.gain;
@@ -70,21 +72,9 @@ TEST(Algorithm1, RootOfMeanPayoffIsERRev) {
   options.epsilon = 1e-5;
   const auto result = analysis::analyze(model, options);
   const auto at_lo =
-      mdp::solve_mean_payoff(model.mdp, model.mdp.beta_rewards(result.beta_lo));
+      mdp::BellmanKernel(model.mdp).value_iteration(result.beta_lo);
   EXPECT_GE(at_lo.gain, -1e-6);
   EXPECT_LE(at_lo.gain, 1e-2);  // small: β_lo is within ε of the root
-}
-
-TEST(Algorithm1, PolicyIterationSolverAgrees) {
-  const auto model = small_model();
-  analysis::AnalysisOptions vi_options, pi_options;
-  vi_options.epsilon = 1e-4;
-  pi_options.epsilon = 1e-4;
-  pi_options.solver.method = mdp::SolverMethod::kPolicyIteration;
-  const auto vi = analysis::analyze(model, vi_options);
-  const auto pi = analysis::analyze(model, pi_options);
-  EXPECT_NEAR(vi.errev_of_policy, pi.errev_of_policy, 1e-6);
-  EXPECT_NEAR(vi.errev_lower_bound, pi.errev_lower_bound, 2e-4);
 }
 
 TEST(Algorithm1, DenseSolverAgreesOnTinyModel) {
@@ -123,30 +113,31 @@ struct Bracket {
 };
 
 /// The paper's Algorithm 1 as written — binary search on β over [0, 1],
-/// one warm-started mean-payoff solve per step, on the AoS path rather
-/// than the kernel — as an independent reference for analysis::analyze.
-/// It decides each step on the certified gain bounds alone (gain_hi < 0
-/// moves hi, gain_lo ≥ 0 moves lo) and re-solves with tol ×0.1 when the
-/// gain interval straddles 0.
+/// one warm-started value-iteration solve per step — as a reference for
+/// analysis::analyze's Newton search. Each step is decided by the
+/// independent checker's gain bracket on the solve's values, not by the
+/// solver's own bounds: hi < 0 moves the upper end, lo ≥ 0 the lower end,
+/// and a bracket straddling 0 re-solves with tol ×0.1.
 Bracket paper_bisection(const selfish::SelfishModel& model, double epsilon) {
-  mdp::SolveOptions solver;
-  solver.use_kernel = false;
+  const mdp::BellmanKernel kernel(model.mdp);
+  mdp::MeanPayoffOptions solver;
   std::vector<double> values;
   Bracket bracket;
   int tightenings = 0;
   while (bracket.hi - bracket.lo >= epsilon) {
     const double beta = 0.5 * (bracket.lo + bracket.hi);
-    auto solve =
-        mdp::solve_mean_payoff(model.mdp, model.mdp.beta_rewards(beta), solver,
-                               values.empty() ? nullptr : &values);
+    auto solve = kernel.value_iteration(beta, solver,
+                                        values.empty() ? nullptr : &values);
+    const mdp::GainBracket gain =
+        mdp::check_gain_bracket(model.mdp, beta, solve.values, solve.policy);
     values = std::move(solve.values);
-    if (solve.gain_hi < 0.0) {
+    if (gain.hi < 0.0L) {
       bracket.hi = beta;
-    } else if (solve.gain_lo >= 0.0) {
+    } else if (gain.lo >= 0.0L) {
       bracket.lo = beta;
     } else {
       SM_ENSURE(++tightenings <= 4, "bisection cannot decide beta=", beta);
-      solver.mean_payoff.tol *= 0.1;
+      solver.tol *= 0.1;
     }
   }
   return bracket;

@@ -1,8 +1,8 @@
 // Exact dense gain/bias solver and the shared linear-system routine.
 #include <gtest/gtest.h>
 
+#include "mdp/bellman_kernel.hpp"
 #include "mdp/dense_solver.hpp"
-#include "mdp/value_iteration.hpp"
 #include "support/check.hpp"
 #include "test_helpers.hpp"
 
@@ -66,9 +66,8 @@ TEST(DensePolicyIteration, MatchesValueIteration) {
   support::Rng rng(77);
   for (int trial = 0; trial < 8; ++trial) {
     const mdp::Mdp m = test_helpers::random_unichain(rng, 25, 3, 3);
-    const auto rewards = m.beta_rewards(0.4);
-    const auto dense = mdp::dense_policy_iteration(m, rewards);
-    const auto vi = mdp::value_iteration(m, rewards);
+    const auto dense = mdp::dense_policy_iteration(m, m.beta_rewards(0.4));
+    const auto vi = mdp::BellmanKernel(m).value_iteration(0.4);
     ASSERT_TRUE(dense.converged);
     ASSERT_TRUE(vi.converged);
     EXPECT_NEAR(dense.gain, vi.gain, 1e-5) << "trial " << trial;

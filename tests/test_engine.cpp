@@ -135,10 +135,9 @@ TEST(EngineKeys, CanonicalKeysArePinnedExactly) {
             "tau=0.5|p=0.20000000000000001|warm=cold");
   EXPECT_EQ(gs.hex(), "318098098f3437ad");
 
-  // The byte-identical speed knobs must not change stored identities.
+  // The byte-identical speed knob must not change stored identities.
   engine::AnalysisJob tuned = job;
   tuned.options.solver.threads = 8;
-  tuned.options.solver.use_kernel = false;
   EXPECT_EQ(engine::analysis_job_key(tuned, nullptr).hash, gs.hash);
 }
 

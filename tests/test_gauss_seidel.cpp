@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/algorithm1.hpp"
+#include "mdp/bellman_kernel.hpp"
 #include "mdp/dense_solver.hpp"
 #include "mdp/solve.hpp"
-#include "mdp/value_iteration.hpp"
 #include "selfish/build.hpp"
 #include "support/check.hpp"
 #include "test_helpers.hpp"
@@ -14,13 +14,13 @@ namespace {
 
 TEST(GaussSeidel, MatchesSynchronousOnHandModels) {
   const mdp::Mdp cycle = test_helpers::two_state_cycle();
-  const auto gs = mdp::gauss_seidel_value_iteration(cycle, cycle.beta_rewards(0.0));
+  const auto gs = mdp::BellmanKernel(cycle).gauss_seidel(0.0);
   ASSERT_TRUE(gs.converged);
   EXPECT_NEAR(gs.gain, 0.5, 1e-6);
 
   const mdp::Mdp choice = test_helpers::two_action_choice();
   const auto gs2 =
-      mdp::gauss_seidel_value_iteration(choice, choice.beta_rewards(0.4));
+      mdp::BellmanKernel(choice).gauss_seidel(0.4);
   ASSERT_TRUE(gs2.converged);
   EXPECT_NEAR(gs2.gain, 0.6, 1e-6);
   EXPECT_EQ(choice.action_label(gs2.policy[0]), 1u);
@@ -30,9 +30,8 @@ TEST(GaussSeidel, CertifiedBoundsContainExactGain) {
   support::Rng rng(2024);
   for (int trial = 0; trial < 10; ++trial) {
     const mdp::Mdp m = test_helpers::random_unichain(rng, 35, 3, 4);
-    const auto rewards = m.beta_rewards(0.3);
-    const auto gs = mdp::gauss_seidel_value_iteration(m, rewards);
-    const auto exact = mdp::dense_policy_iteration(m, rewards);
+    const auto gs = mdp::BellmanKernel(m).gauss_seidel(0.3);
+    const auto exact = mdp::dense_policy_iteration(m, m.beta_rewards(0.3));
     ASSERT_TRUE(gs.converged);
     ASSERT_TRUE(exact.converged);
     EXPECT_LE(gs.gain_lo, exact.gain + 1e-7) << "trial " << trial;
@@ -45,9 +44,9 @@ TEST(GaussSeidel, AgreesOnSelfishModels) {
   for (const auto& [d, f] : {std::pair{1, 1}, {2, 1}, {2, 2}}) {
     const auto model = selfish::build_model(
         selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = d, .f = f, .l = 4});
-    const auto rewards = model.mdp.beta_rewards(0.41);
-    const auto vi = mdp::value_iteration(model.mdp, rewards);
-    const auto gs = mdp::gauss_seidel_value_iteration(model.mdp, rewards);
+    const mdp::BellmanKernel kernel(model.mdp);
+    const auto vi = kernel.value_iteration(0.41);
+    const auto gs = kernel.gauss_seidel(0.41);
     ASSERT_TRUE(vi.converged);
     ASSERT_TRUE(gs.converged);
     EXPECT_NEAR(gs.gain, vi.gain, 1e-5) << "d=" << d << " f=" << f;
@@ -57,9 +56,9 @@ TEST(GaussSeidel, AgreesOnSelfishModels) {
 TEST(GaussSeidel, UsuallyFewerSweepsThanSynchronous) {
   const auto model = selfish::build_model(
       selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 4});
-  const auto rewards = model.mdp.beta_rewards(0.43);
-  const auto vi = mdp::value_iteration(model.mdp, rewards);
-  const auto gs = mdp::gauss_seidel_value_iteration(model.mdp, rewards);
+  const mdp::BellmanKernel kernel(model.mdp);
+  const auto vi = kernel.value_iteration(0.43);
+  const auto gs = kernel.gauss_seidel(0.43);
   ASSERT_TRUE(vi.converged);
   ASSERT_TRUE(gs.converged);
   EXPECT_LT(gs.iterations, vi.iterations);
@@ -87,12 +86,10 @@ TEST(GaussSeidel, ParseAndName) {
 
 TEST(GaussSeidel, RejectsBadArguments) {
   const mdp::Mdp m = test_helpers::two_state_cycle();
-  EXPECT_THROW(mdp::gauss_seidel_value_iteration(m, {1.0}),
-               support::InvalidArgument);
   mdp::MeanPayoffOptions options;
   options.tau = 1.0;
   EXPECT_THROW(
-      mdp::gauss_seidel_value_iteration(m, m.beta_rewards(0.0), options),
+      mdp::BellmanKernel(m).gauss_seidel(0.0, options),
       support::InvalidArgument);
 }
 

@@ -5,12 +5,18 @@
 // paper-derived truths — the paper's exact numbers depend on its
 // under-specified tie semantics — but regression anchors: any future
 // change to the transition semantics, reward accounting or solvers that
-// moves these values is a behavioral change and must be deliberate.
+// moves these values is a behavioral change and must be deliberate. Every
+// answer is also re-verified by the independent certificate checker
+// (certify.hpp): MP*(β_hi) < 0 from the final values, and the strategy's
+// stationary ratio.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "analysis/algorithm1.hpp"
 #include "baselines/eyal_sirer.hpp"
 #include "baselines/single_tree.hpp"
+#include "certify.hpp"
 #include "selfish/build.hpp"
 
 namespace {
@@ -30,9 +36,12 @@ TEST_P(GoldenValues, OptimalERRevIsStable) {
   analysis::AnalysisOptions options;
   options.epsilon = 1e-4;
   const auto result = analysis::analyze(model, options);
-  EXPECT_NEAR(result.errev_of_policy, c.errev, 5e-4)
-      << "p=" << c.p << " gamma=" << c.gamma << " d=" << c.d
-      << " f=" << c.f;
+  const std::string where = "p=" + std::to_string(c.p) +
+                            " gamma=" + std::to_string(c.gamma) +
+                            " d=" + std::to_string(c.d) +
+                            " f=" + std::to_string(c.f);
+  EXPECT_NEAR(result.errev_of_policy, c.errev, 5e-4) << where;
+  certify::expect_certified_answer(model.mdp, result, where);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -75,6 +84,7 @@ TEST(GoldenValues, DeepConfigurationAtGammaHalf) {
   // The strategy's exact ERRev to twelve digits: the value a power
   // iteration run to tol 1e-15 reaches.
   EXPECT_NEAR(result.errev_of_policy, 0.496157609090918, 1e-12);
+  certify::expect_certified_answer(model.mdp, result, "d=3 f=2");
 }
 
 TEST(GoldenValues, EyalSirerReferencePoints) {

@@ -1,14 +1,16 @@
-// BellmanKernel determinism contract (ISSUE acceptance criteria): the SoA
-// kernel is bit-identical to the legacy AoS reference path — gain bounds,
-// value vector, policy, iteration counts — for every solver method, and
-// bit-identical to itself at any thread count (1 vs 8 byte-compared).
-// Deliberately non-stochastic: it gates in the fast `ctest -LE stochastic`
-// stage of every CI leg.
+// BellmanKernel contract: every converged solve carries a certificate the
+// independent checker (mdp/certificate_check.hpp) confirms from the
+// returned values and strategy alone, small models agree with the exact
+// dense solver, and results are bit-identical at any thread count (1 vs 8
+// byte-compared). Deliberately non-stochastic: it gates in the fast
+// `ctest -LE stochastic` stage of every CI leg.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
 #include "analysis/algorithm1.hpp"
+#include "certify.hpp"
+#include "mdp/dense_solver.hpp"
 #include "mdp/solve.hpp"
 #include "selfish/build.hpp"
 #include "support/check.hpp"
@@ -24,16 +26,39 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-void expect_identical(const mdp::MeanPayoffResult& kernel,
-                      const mdp::MeanPayoffResult& reference,
+void expect_identical(const mdp::MeanPayoffResult& a,
+                      const mdp::MeanPayoffResult& b,
                       const std::string& label) {
-  EXPECT_EQ(kernel.converged, reference.converged) << label;
-  EXPECT_EQ(kernel.iterations, reference.iterations) << label;
-  EXPECT_EQ(kernel.gain, reference.gain) << label;
-  EXPECT_EQ(kernel.gain_lo, reference.gain_lo) << label;
-  EXPECT_EQ(kernel.gain_hi, reference.gain_hi) << label;
-  EXPECT_EQ(kernel.policy, reference.policy) << label;
-  EXPECT_TRUE(same_bytes(kernel.values, reference.values)) << label;
+  EXPECT_EQ(a.converged, b.converged) << label;
+  EXPECT_EQ(a.iterations, b.iterations) << label;
+  EXPECT_EQ(a.gain, b.gain) << label;
+  EXPECT_EQ(a.gain_lo, b.gain_lo) << label;
+  EXPECT_EQ(a.gain_hi, b.gain_hi) << label;
+  EXPECT_EQ(a.policy, b.policy) << label;
+  EXPECT_TRUE(same_bytes(a.values, b.values)) << label;
+}
+
+/// Dense policy iteration is O(n³): the exact-gain cross-check runs on
+/// the models small enough for it.
+constexpr mdp::StateId kDenseMaxStates = 400;
+
+/// Certifies vi and gs at β on `m` with the checker, and on small models
+/// checks that the checker's bracket contains the exact dense gain.
+void expect_kernel_certified(const mdp::Mdp& m, double beta,
+                             const std::string& label) {
+  const mdp::BellmanKernel kernel(m);
+  const auto vi = kernel.value_iteration(beta);
+  const auto gs = kernel.gauss_seidel(beta);
+  certify::expect_certified_solve(m, beta, vi, "vi " + label);
+  certify::expect_certified_solve(m, beta, gs, "gs " + label);
+  if (m.num_states() > kDenseMaxStates) return;
+  const double exact =
+      mdp::dense_policy_iteration(m, m.beta_rewards(beta)).gain;
+  for (const auto* r : {&vi, &gs}) {
+    const auto b = mdp::check_gain_bracket(m, beta, r->values, r->policy);
+    EXPECT_LE(b.lo, exact + certify::kSlack) << "dense " << label;
+    EXPECT_GE(b.hi, exact - certify::kSlack) << "dense " << label;
+  }
 }
 
 selfish::SelfishModel build(int d, int f, int l = 4) {
@@ -52,67 +77,71 @@ TEST(BellmanKernel, FusedRewardMatchesBetaReward) {
   }
 }
 
-TEST(BellmanKernel, BitIdenticalToLegacyOnSelfishModels) {
+TEST(BellmanKernel, CheckerCertifiesSelfishSolves) {
   for (const auto& [d, f] : {std::pair{1, 1}, {2, 1}, {2, 2}}) {
     const auto model = build(d, f);
-    const mdp::BellmanKernel kernel(model.mdp);
     for (const double beta : {0.2, 0.41, 0.8}) {
-      const auto rewards = model.mdp.beta_rewards(beta);
-      const std::string label = "d=" + std::to_string(d) +
-                                " f=" + std::to_string(f) +
-                                " beta=" + std::to_string(beta);
-      expect_identical(kernel.value_iteration(beta),
-                       mdp::value_iteration(model.mdp, rewards),
-                       "vi " + label);
-      expect_identical(kernel.gauss_seidel(beta),
-                       mdp::gauss_seidel_value_iteration(model.mdp, rewards),
-                       "gs " + label);
+      expect_kernel_certified(model.mdp, beta,
+                              "d=" + std::to_string(d) +
+                                  " f=" + std::to_string(f) +
+                                  " beta=" + std::to_string(beta));
     }
   }
 }
 
-TEST(BellmanKernel, BitIdenticalToLegacyOnHandAndRandomModels) {
+TEST(BellmanKernel, CheckerCertifiesHandAndRandomSolves) {
   support::Rng rng(4242);
   std::vector<mdp::Mdp> models;
   models.push_back(test_helpers::two_state_cycle());
   models.push_back(test_helpers::two_action_choice());
   models.push_back(test_helpers::random_unichain(rng, 60, 3, 4));
   for (std::size_t i = 0; i < models.size(); ++i) {
-    const mdp::BellmanKernel kernel(models[i]);
     for (const double beta : {0.0, 0.4, 1.0}) {
-      const auto rewards = models[i].beta_rewards(beta);
-      const std::string label =
-          "model=" + std::to_string(i) + " beta=" + std::to_string(beta);
-      expect_identical(kernel.value_iteration(beta),
-                       mdp::value_iteration(models[i], rewards),
-                       "vi " + label);
-      expect_identical(kernel.gauss_seidel(beta),
-                       mdp::gauss_seidel_value_iteration(models[i], rewards),
-                       "gs " + label);
+      expect_kernel_certified(models[i], beta,
+                              "model=" + std::to_string(i) +
+                                  " beta=" + std::to_string(beta));
     }
   }
 }
 
-TEST(BellmanKernel, FacadeBitIdenticalForAllSolverMethods) {
-  // pi/dense fall back to the AoS path inside the kernel overload, so the
-  // facade contract — solve_mean_payoff(kernel, β) ≡ solve_mean_payoff(m,
-  // beta_rewards(β)) — holds for every method. Dense is O(n³): use the
-  // small l=3 model for it.
+TEST(BellmanKernel, FacadeCertifiedForAllSolverMethods) {
+  // vi/gs through the facade are the kernel's own solves, byte for byte,
+  // and certified; dense (O(n³): the small l=3 model) returns an exact
+  // gain that the checker's bracket around a kernel solve contains, and
+  // a strategy whose own stationary gain is that gain.
+  const double beta = 0.41;
   for (const auto method :
        {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel,
-        mdp::SolverMethod::kPolicyIteration,
         mdp::SolverMethod::kDensePolicyIteration}) {
     const bool dense = method == mdp::SolverMethod::kDensePolicyIteration;
     const auto model = dense ? build(1, 1, 3) : build(2, 1);
     const mdp::BellmanKernel kernel(model.mdp);
     mdp::SolveOptions options;
     options.method = method;
-    const double beta = 0.41;
-    expect_identical(
-        mdp::solve_mean_payoff(kernel, beta, options),
-        mdp::solve_mean_payoff(model.mdp, model.mdp.beta_rewards(beta),
-                               options),
-        "method=" + mdp::to_string(method));
+    const std::string label = "method=" + mdp::to_string(method);
+    const auto result = mdp::solve_mean_payoff(kernel, beta, options);
+    ASSERT_TRUE(result.converged) << label;
+    if (!dense) {
+      expect_identical(result,
+                       method == mdp::SolverMethod::kValueIteration
+                           ? kernel.value_iteration(beta)
+                           : kernel.gauss_seidel(beta),
+                       label);
+      certify::expect_certified_solve(model.mdp, beta, result, label);
+      continue;
+    }
+    EXPECT_EQ(result.gain_lo, result.gain) << label;
+    EXPECT_EQ(result.gain_hi, result.gain) << label;
+    const auto vi = kernel.value_iteration(beta);
+    const auto b = mdp::check_gain_bracket(model.mdp, beta, vi.values,
+                                           vi.policy);
+    EXPECT_LE(b.lo, result.gain + certify::kSlack) << label;
+    EXPECT_GE(b.hi, result.gain - certify::kSlack) << label;
+    EXPECT_NEAR(static_cast<double>(
+                    certify::stationary_of(model.mdp, result.policy)
+                        .gain(beta)),
+                result.gain, certify::kSlack)
+        << label;
   }
 }
 
@@ -142,28 +171,17 @@ TEST(BellmanKernel, ThreadCountInvariantWithWarmStart) {
   EXPECT_LE(warm_1.iterations, seed.iterations);
 }
 
-TEST(BellmanKernel, AnalyzeKernelPathMatchesLegacyPath) {
+TEST(BellmanKernel, AnalyzeAnswersAreCertifiedByTheChecker) {
   const auto model = build(2, 1);
-  analysis::AnalysisOptions kernel_options, legacy_options;
-  kernel_options.epsilon = 1e-3;
-  legacy_options.epsilon = 1e-3;
-  legacy_options.solver.use_kernel = false;
+  analysis::AnalysisOptions options;
+  options.epsilon = 1e-3;
   for (const auto method : {mdp::SolverMethod::kValueIteration,
                             mdp::SolverMethod::kGaussSeidel}) {
-    kernel_options.solver.method = method;
-    legacy_options.solver.method = method;
-    const auto via_kernel = analysis::analyze(model, kernel_options);
-    const auto via_legacy = analysis::analyze(model, legacy_options);
+    options.solver.method = method;
+    const auto answer = analysis::analyze(model, options);
     const std::string label = "method=" + mdp::to_string(method);
-    EXPECT_EQ(via_kernel.errev_lower_bound, via_legacy.errev_lower_bound)
-        << label;
-    EXPECT_EQ(via_kernel.errev_of_policy, via_legacy.errev_of_policy)
-        << label;
-    EXPECT_EQ(via_kernel.policy, via_legacy.policy) << label;
-    EXPECT_EQ(via_kernel.solver_iterations, via_legacy.solver_iterations)
-        << label;
-    EXPECT_TRUE(same_bytes(via_kernel.final_values, via_legacy.final_values))
-        << label;
+    EXPECT_LT(answer.beta_hi - answer.beta_lo, options.epsilon) << label;
+    certify::expect_certified_answer(model.mdp, answer, label);
   }
 }
 
@@ -182,26 +200,32 @@ TEST(BellmanKernel, AnalyzeThreadCountInvariant) {
 }
 
 TEST(BellmanKernel, NonConvergedRunStillReturnsConsistentPolicy) {
+  // Without convergence no bound is claimed; what holds for any value
+  // vector still must: the checker's bracket is ordered, every state got
+  // one of its own actions, and the result is thread-count invariant.
   const auto model = build(2, 1);
-  const mdp::BellmanKernel kernel(model.mdp);
+  const mdp::Mdp& m = model.mdp;
+  const mdp::BellmanKernel kernel(m);
   mdp::MeanPayoffOptions options;
   options.max_iterations = 3;
   options.tol = 1e-15;
-  const auto rewards = model.mdp.beta_rewards(0.41);
-  for (const int threads : {1, 8}) {
-    const auto vi = kernel.value_iteration(0.41, options, nullptr, threads);
-    EXPECT_FALSE(vi.converged);
-    expect_identical(vi, mdp::value_iteration(model.mdp, rewards, options),
-                     "non-converged vi");
-    const auto gs = kernel.gauss_seidel(0.41, options, nullptr, threads);
-    EXPECT_FALSE(gs.converged);
-    expect_identical(
-        gs, mdp::gauss_seidel_value_iteration(model.mdp, rewards, options),
-        "non-converged gs");
-    // Every state got a real action even without convergence.
-    for (const mdp::ActionId a : vi.policy) EXPECT_NE(a, mdp::kInvalidAction);
-    for (const mdp::ActionId a : gs.policy) EXPECT_NE(a, mdp::kInvalidAction);
+  const double beta = 0.41;
+  const auto vi_1 = kernel.value_iteration(beta, options, nullptr, 1);
+  const auto gs_1 = kernel.gauss_seidel(beta, options, nullptr, 1);
+  for (const auto* r : {&vi_1, &gs_1}) {
+    EXPECT_FALSE(r->converged);
+    EXPECT_EQ(r->iterations, 3);
+    for (mdp::StateId s = 0; s < m.num_states(); ++s) {
+      ASSERT_NE(r->policy[s], mdp::kInvalidAction);
+      EXPECT_EQ(m.action_state(r->policy[s]), s);
+    }
+    const auto b = mdp::check_gain_bracket(m, beta, r->values, r->policy);
+    EXPECT_LE(b.lo, b.hi);
   }
+  expect_identical(kernel.value_iteration(beta, options, nullptr, 8), vi_1,
+                   "non-converged vi");
+  expect_identical(kernel.gauss_seidel(beta, options, nullptr, 8), gs_1,
+                   "non-converged gs");
 }
 
 TEST(BellmanKernel, RejectsBadArguments) {

@@ -7,15 +7,23 @@
 #include "analysis/sweep.hpp"
 #include "baselines/honest.hpp"
 #include "baselines/single_tree.hpp"
+#include "certify.hpp"
 
 namespace {
 
+/// The exact ERRev of the ε-optimal strategy, after the certificate
+/// checker has confirmed the answer behind it.
 double optimal_errev(double p, double gamma, int d, int f, int l = 4) {
   const auto model = selfish::build_model(
       selfish::AttackParams{.p = p, .gamma = gamma, .d = d, .f = f, .l = l});
   analysis::AnalysisOptions options;
   options.epsilon = 1e-4;
-  return analysis::analyze(model, options).errev_of_policy;
+  const auto result = analysis::analyze(model, options);
+  certify::expect_certified_answer(
+      model.mdp, result,
+      "p=" + std::to_string(p) + " gamma=" + std::to_string(gamma) +
+          " d=" + std::to_string(d) + " f=" + std::to_string(f));
+  return result.errev_of_policy;
 }
 
 double single_tree_errev(double p, double gamma) {

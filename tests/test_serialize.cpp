@@ -6,7 +6,7 @@
 
 #include "analysis/errev.hpp"
 #include "mdp/serialize.hpp"
-#include "mdp/value_iteration.hpp"
+#include "mdp/bellman_kernel.hpp"
 #include "selfish/cache.hpp"
 #include "support/check.hpp"
 #include "test_helpers.hpp"
@@ -48,9 +48,8 @@ TEST(MdpSerialize, RoundTripRandomModel) {
   const mdp::Mdp loaded = mdp::load_binary(buffer);
   expect_same_structure(original, loaded);
   // Behavior preserved, not just structure.
-  const auto rewards = original.beta_rewards(0.3);
-  const auto via_original = mdp::value_iteration(original, rewards);
-  const auto via_loaded = mdp::value_iteration(loaded, rewards);
+  const auto via_original = mdp::BellmanKernel(original).value_iteration(0.3);
+  const auto via_loaded = mdp::BellmanKernel(loaded).value_iteration(0.3);
   EXPECT_NEAR(via_original.gain, via_loaded.gain, 1e-9);
 }
 

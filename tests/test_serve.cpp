@@ -279,6 +279,12 @@ TEST(ServeProtocol, RejectsMalformedAndInvalidRequests) {
   EXPECT_NE(reply.find("error")->as_string().find("strategy"),
             std::string::npos);
 
+  // Policy iteration is no longer a solver method.
+  reply = reply_of(service, "{\"kind\":\"point\",\"solver\":\"pi\"}");
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_EQ(reply.find("error")->as_string(),
+            "unknown solver method: pi (expected vi | gs | dense)");
+
   // Admin requests take no options.
   EXPECT_FALSE(reply_of(service, "{\"kind\":\"ping\",\"p\":0.3}")
                    .find("ok")->as_bool());

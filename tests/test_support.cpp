@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/csv.hpp"
@@ -194,6 +195,22 @@ TEST(Options, UnknownOptionThrows) {
   opts.declare("x", "1", "x");
   const char* argv[] = {"prog", "--y=2"};
   EXPECT_THROW(opts.parse(2, argv), support::InvalidArgument);
+}
+
+TEST(Options, UnknownOptionMessageNamesOnlyTheFlag) {
+  // Both spellings fail with the same plain message, not a precondition
+  // dump.
+  for (const auto& args : {std::vector<const char*>{"prog", "--bogus=1"},
+                           std::vector<const char*>{"prog", "--bogus", "1"}}) {
+    support::Options opts;
+    opts.declare("x", "1", "x");
+    try {
+      opts.parse(static_cast<int>(args.size()), args.data());
+      ADD_FAILURE() << "unknown option accepted";
+    } catch (const support::InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), "unknown option: --bogus");
+    }
+  }
 }
 
 TEST(Options, MalformedNumberThrows) {

@@ -1,8 +1,9 @@
-// Relative value iteration on hand-solvable mean-payoff MDPs.
+// Relative value iteration (mdp::BellmanKernel) on hand-solvable
+// mean-payoff MDPs.
 #include <gtest/gtest.h>
 
 #include "mdp/builder.hpp"
-#include "mdp/value_iteration.hpp"
+#include "mdp/bellman_kernel.hpp"
 #include "support/check.hpp"
 #include "test_helpers.hpp"
 
@@ -13,7 +14,7 @@ TEST(ValueIteration, DeterministicCycleGain) {
   // period of 2 → gain 1/2. The chain is 2-periodic — exactly the case the
   // aperiodicity transform must handle.
   const mdp::Mdp m = test_helpers::two_state_cycle();
-  const auto result = mdp::value_iteration(m, m.beta_rewards(0.0));
+  const auto result = mdp::BellmanKernel(m).value_iteration(0.0);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.gain, 0.5, 1e-6);
   EXPECT_LE(result.gain_lo, result.gain);
@@ -25,7 +26,7 @@ TEST(ValueIteration, BetaShiftsCycleGain) {
   // Per period: adv 1, hon 1 → gain(β) = (1 − 2β)/2.
   const mdp::Mdp m = test_helpers::two_state_cycle();
   for (const double beta : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    const auto result = mdp::value_iteration(m, m.beta_rewards(beta));
+    const auto result = mdp::BellmanKernel(m).value_iteration(beta);
     ASSERT_TRUE(result.converged);
     EXPECT_NEAR(result.gain, (1.0 - 2.0 * beta) / 2.0, 1e-6) << "beta=" << beta;
   }
@@ -34,7 +35,7 @@ TEST(ValueIteration, BetaShiftsCycleGain) {
 TEST(ValueIteration, PicksBetterAction) {
   // "go" yields mean payoff 1 − β vs "stay" 1 − 2β; for β = 0.4 go wins.
   const mdp::Mdp m = test_helpers::two_action_choice();
-  const auto result = mdp::value_iteration(m, m.beta_rewards(0.4));
+  const auto result = mdp::BellmanKernel(m).value_iteration(0.4);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.gain, 1.0 - 0.4, 1e-6);
   EXPECT_EQ(m.action_label(result.policy[0]), 1u);  // "go"
@@ -49,7 +50,7 @@ TEST(ValueIteration, ProbabilisticGain) {
   b.add_transition(0, 0.3, {1, 0});
   b.add_transition(0, 0.7, {0, 1});
   const mdp::Mdp m = b.build(0);
-  const auto result = mdp::value_iteration(m, m.beta_rewards(0.0));
+  const auto result = mdp::BellmanKernel(m).value_iteration(0.0);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.gain, 0.3, 1e-6);
 }
@@ -59,10 +60,10 @@ TEST(ValueIteration, GainBoundsBracketTrueGain) {
   const mdp::Mdp m = test_helpers::random_unichain(rng, 30, 3, 4);
   mdp::MeanPayoffOptions opts;
   opts.tol = 1e-9;
-  const auto tight = mdp::value_iteration(m, m.beta_rewards(0.3), opts);
+  const auto tight = mdp::BellmanKernel(m).value_iteration(0.3, opts);
   ASSERT_TRUE(tight.converged);
   opts.tol = 1e-4;
-  const auto loose = mdp::value_iteration(m, m.beta_rewards(0.3), opts);
+  const auto loose = mdp::BellmanKernel(m).value_iteration(0.3, opts);
   ASSERT_TRUE(loose.converged);
   EXPECT_LE(loose.gain_lo, tight.gain + 1e-9);
   EXPECT_GE(loose.gain_hi, tight.gain - 1e-9);
@@ -71,10 +72,10 @@ TEST(ValueIteration, GainBoundsBracketTrueGain) {
 TEST(ValueIteration, WarmStartConvergesFasterOrEqual) {
   support::Rng rng(7);
   const mdp::Mdp m = test_helpers::random_unichain(rng, 50, 3, 4);
-  const auto cold = mdp::value_iteration(m, m.beta_rewards(0.31));
+  const auto cold = mdp::BellmanKernel(m).value_iteration(0.31);
   ASSERT_TRUE(cold.converged);
   const auto warm =
-      mdp::value_iteration(m, m.beta_rewards(0.32), {}, &cold.values);
+      mdp::BellmanKernel(m).value_iteration(0.32, {}, &cold.values);
   ASSERT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, cold.iterations);
 }
@@ -84,21 +85,20 @@ TEST(ValueIteration, MaxIterationsReportsNonConverged) {
   mdp::MeanPayoffOptions opts;
   opts.max_iterations = 1;
   opts.tol = 1e-15;
-  const auto result = mdp::value_iteration(m, m.beta_rewards(0.0), opts);
+  const auto result = mdp::BellmanKernel(m).value_iteration(0.0, opts);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 1);
 }
 
 TEST(ValueIteration, RejectsBadArguments) {
   const mdp::Mdp m = test_helpers::two_state_cycle();
-  EXPECT_THROW(mdp::value_iteration(m, {1.0}), support::InvalidArgument);
   mdp::MeanPayoffOptions opts;
   opts.tau = 0.0;
-  EXPECT_THROW(mdp::value_iteration(m, m.beta_rewards(0.0), opts),
+  EXPECT_THROW(mdp::BellmanKernel(m).value_iteration(0.0, opts),
                support::InvalidArgument);
   opts.tau = 0.5;
   opts.tol = 0.0;
-  EXPECT_THROW(mdp::value_iteration(m, m.beta_rewards(0.0), opts),
+  EXPECT_THROW(mdp::BellmanKernel(m).value_iteration(0.0, opts),
                support::InvalidArgument);
 }
 
@@ -110,7 +110,7 @@ TEST(ValueIteration, TauInsensitive) {
   for (const double tau : {0.1, 0.3, 0.5, 0.8}) {
     mdp::MeanPayoffOptions opts;
     opts.tau = tau;
-    const auto result = mdp::value_iteration(m, m.beta_rewards(0.5), opts);
+    const auto result = mdp::BellmanKernel(m).value_iteration(0.5, opts);
     ASSERT_TRUE(result.converged) << "tau=" << tau;
     if (first) {
       reference = result.gain;

@@ -94,7 +94,7 @@ void declare_model_options(support::Options& options) {
   options.declare("burn-lost-races", "false",
                   "fork-choice variant: discard forks that lose tie races");
   options.declare("epsilon", "0.001", "Algorithm 1 precision");
-  options.declare("solver", "vi", "mean-payoff solver: vi | gs | pi | dense");
+  options.declare("solver", "vi", "mean-payoff solver: vi | gs | dense");
   options.declare("cache", "",
                   "binary model cache file: reused when valid, written "
                   "after a fresh build (worthwhile for d >= 3)");
@@ -701,7 +701,7 @@ int cmd_query(int argc, const char* const* argv) {
       {"l", 'i', "4", "maximal private fork length"},
       {"burn-lost-races", 'b', "false", "fork-choice ablation variant"},
       {"epsilon", 'd', "0.001", "Algorithm 1 precision"},
-      {"solver", 's', "vi", "mean-payoff solver: vi | gs | pi | dense"},
+      {"solver", 's', "vi", "mean-payoff solver: vi | gs | dense"},
       {"stats", 'b', "true", "point: include strategy statistics"},
       {"pmin", 'd', "0", "sweep: smallest resource"},
       {"pmax", 'd', "0.3", "sweep: largest resource"},
