@@ -17,6 +17,19 @@ namespace {
 /// analysis fails instead of guessing.
 constexpr int kMaxTightenings = 4;
 
+/// The `stop` attribute of a step span: which exit of mdp::solve_stop the
+/// returned bounds meet first. dense ignores decide_sign; for its exact
+/// gain (a zero-width interval) the label only tells the gain's sign.
+const char* stop_name(mdp::SolveStop stop) {
+  switch (stop) {
+    case mdp::SolveStop::kSign: return "sign";
+    case mdp::SolveStop::kNewton: return "newton";
+    case mdp::SolveStop::kWidth: return "width";
+    case mdp::SolveStop::kNone: break;
+  }
+  return "none";
+}
+
 }  // namespace
 
 AnalysisResult analyze(const selfish::SelfishModel& model,
@@ -31,6 +44,9 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
   // backup, so no per-step reward vector is materialized.
   const mdp::BellmanKernel kernel(m);
   mdp::SolveOptions solver = options.solver;  // tol tightens on slow steps
+  // Each step needs only the sign of MP*(b), or a strategy that is sure to
+  // raise β_lo past b: always stop at the first sweep that decides it.
+  solver.mean_payoff.decide_sign = true;
   int tightenings = 0;
 
   AnalysisResult result;
@@ -71,6 +87,8 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
     span.attr("gain_hi", serve::Json(solve.gain_hi));
     span.attr("sweeps",
               serve::Json(static_cast<std::int64_t>(solve.iterations)));
+    span.attr("stop", serve::Json(stop_name(mdp::solve_stop(
+                          solve.gain_lo, solve.gain_hi, solver.mean_payoff))));
 
     const bool below_root = solve.gain_hi < 0.0;  // certifies β* < b
     if (below_root && have_policy) {
@@ -80,8 +98,9 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
     }
     // Newton step: the greedy strategy's exact ratio is where the line
     // A(σ) − β·T(σ) crosses 0, and an achievable lower bound. Its gain at
-    // b is ≥ gain_lo, so with a tight enough tol the ratio lands near or
-    // past b; a step that gains under ε/4 means tol is too loose for ε.
+    // b is ≥ gain_lo, so after a Newton stop (gain_lo > 0) the ratio lies
+    // past b. Only a width stop with gain_lo ≤ 0 can leave it short; a
+    // step that gains under ε/4 means tol is too loose for ε.
     const double ratio = exact_errev(model, solve.policy);
     if (have_policy && ratio < result.beta_lo + 0.5 * overshoot) {
       span.attr("decision", serve::Json("tighten"));

@@ -38,7 +38,10 @@ namespace engine {
 /// v5: exact ERRev (every Newton step's lower end) comes from a
 /// Gauss–Seidel stationary solve instead of lazy power iteration, which
 /// stopped ~1e-11 short; the low bits of β_lo and errev_of_policy change.
-inline constexpr std::uint32_t kCodeVersionSalt = 5;
+/// v6: each Newton step's solve stops at the first sweep that decides it
+/// (sign or Newton stop) instead of at width tol, so steps return other
+/// ε-optimal strategies and brackets move within ε.
+inline constexpr std::uint32_t kCodeVersionSalt = 6;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with
 /// `options`. This is the unit of work behind `analysis::sweep_p`, the

@@ -99,6 +99,18 @@ void check_options(const MeanPayoffOptions& options) {
 
 }  // namespace
 
+SolveStop solve_stop(double gain_lo, double gain_hi,
+                     const MeanPayoffOptions& options) {
+  const double width = gain_hi - gain_lo;
+  if (options.decide_sign) {
+    if (gain_hi < 0.0) return SolveStop::kSign;
+    if (gain_lo > 0.0 && width < kNewtonStopRatio * gain_lo) {
+      return SolveStop::kNewton;
+    }
+  }
+  return width < options.tol ? SolveStop::kWidth : SolveStop::kNone;
+}
+
 /// Raw-pointer snapshot of the kernel's hot arrays, hoisted once per
 /// solve so the backup helper below inlines into the sweep loops with
 /// all base pointers in registers (a member function reading through
@@ -333,7 +345,8 @@ MeanPayoffResult BellmanKernel::value_iteration(
       for (StateId s = begin; s < end; ++s) v[s] = v_next[s] - shift;
     });
 
-    if (result.gain_hi - result.gain_lo < options.tol) {
+    if (solve_stop(result.gain_lo, result.gain_hi, options) !=
+        SolveStop::kNone) {
       result.converged = true;
       break;
     }
@@ -351,8 +364,8 @@ MeanPayoffResult BellmanKernel::value_iteration(
       static_cast<std::int64_t>(result.iterations)));
   span.attr("converged", serve::Json(result.converged));
   // result.policy was captured by the final sweep: greedy w.r.t. the
-  // vector that sweep backed up from (within tol of the returned values'
-  // greedy policy once converged) — no extra extraction sweep needed.
+  // vector that sweep backed up from — no extra extraction sweep needed,
+  // and the Newton stop's gain_lo bound holds for exactly this policy.
   return result;
 }
 
@@ -423,7 +436,8 @@ MeanPayoffResult BellmanKernel::gauss_seidel(
     policy_fresh = true;
     result.gain_lo = lo / one_minus_tau;
     result.gain_hi = hi / one_minus_tau;
-    return result.gain_hi - result.gain_lo < options.tol;
+    return solve_stop(result.gain_lo, result.gain_hi, options) !=
+           SolveStop::kNone;
   };
 
   int iter = 0;

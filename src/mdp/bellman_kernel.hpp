@@ -11,12 +11,27 @@
 //
 //   min_s (Tv − v)(s)  ≤  gain'  ≤  max_s (Tv − v)(s)
 //
-// The returned gain is certified to lie in [gain_lo, gain_hi] with
-// gain_hi − gain_lo < tol on convergence; the greedy policy is captured
-// during the final (certifying) sweep — arg-max w.r.t. the vector that
-// sweep backed up from — so convergence costs no extra sweep. The bound
-// holds for any value vector, which is what lets mdp/certificate_check.hpp
-// re-verify a solve from its returned values without sharing this code.
+// The returned gain is certified to lie in [gain_lo, gain_hi]; the greedy
+// policy is captured during the final (certifying) sweep — arg-max w.r.t.
+// the vector that sweep backed up from — so convergence costs no extra
+// sweep. The bound holds for any value vector, which is what lets
+// mdp/certificate_check.hpp re-verify a solve from its returned values
+// without sharing this code.
+//
+// When to stop is one predicate, solve_stop(), shared by both solvers.
+// By default a solve runs until gain_hi − gain_lo < tol (the width stop).
+// A caller that needs only the sign of the optimal gain — Algorithm 1,
+// whose every step either certifies β* < β or takes a Newton step —
+// sets MeanPayoffOptions::decide_sign and gains two earlier exits:
+//
+//  * sign stop:   gain_hi < 0 — the optimal gain is certified negative;
+//  * Newton stop: gain_lo > 0 and gain_hi − gain_lo < κ·gain_lo
+//    (κ = kNewtonStopRatio) — the greedy strategy σ captured in the final
+//    sweep has T_σv = Tv, so its own gain is ≥ gain_lo > 0 (Odoni), and
+//    the interval is already narrow relative to that gain.
+//
+// Both exits report converged = true; their interval may be wider than
+// tol.
 //
 // The solvers spend essentially all of their time in the Bellman backup
 // loop. On the AoS `Transition` array every inner-loop iteration drags a
@@ -64,22 +79,45 @@ class ThreadPool;
 
 namespace mdp {
 
+/// κ of the Newton stop: under decide_sign a solve stops once gain_lo > 0
+/// and the certified interval is narrower than κ·gain_lo.
+inline constexpr double kNewtonStopRatio = 0.5;
+
 struct MeanPayoffOptions {
-  /// Width of the certified gain interval at which iteration stops.
+  /// Width of the certified gain interval at which iteration stops (the
+  /// width stop). Under decide_sign a solve may stop earlier, wider.
   double tol = 1e-7;
   /// Hard iteration cap; exceeding it reports converged = false.
   int max_iterations = 2'000'000;
   /// Laziness of the aperiodicity transformation, in (0, 1).
   double tau = 0.5;
+  /// Also stop at the first sweep that decides the gain's sign for a
+  /// Newton search: the sign stop (gain_hi < 0) or the Newton stop
+  /// (gain_lo > 0, width < κ·gain_lo). The dense solver ignores it.
+  bool decide_sign = false;
 };
 
+/// Why a solve stopped, in the order solve_stop() tests the exits.
+enum class SolveStop { kNone, kSign, kNewton, kWidth };
+
+/// The one stop predicate of value_iteration and gauss_seidel, applied to
+/// a sweep's certified bounds: kSign or kNewton (only under decide_sign),
+/// else kWidth when gain_hi − gain_lo < tol, else kNone (keep sweeping).
+SolveStop solve_stop(double gain_lo, double gain_hi,
+                     const MeanPayoffOptions& options);
+
 struct MeanPayoffResult {
-  double gain = 0.0;     ///< Midpoint of the certified interval.
+  /// Midpoint of the certified interval. Within tol/2 of the optimal gain
+  /// after a width stop; after a sign or Newton stop it is only certified
+  /// to lie in [gain_lo, gain_hi].
+  double gain = 0.0;
   double gain_lo = 0.0;  ///< Certified lower bound on the optimal gain.
   double gain_hi = 0.0;  ///< Certified upper bound on the optimal gain.
   std::vector<ActionId> policy;  ///< Greedy positional strategy (global ids).
   std::vector<double> values;    ///< Final relative value vector.
   int iterations = 0;
+  /// True when a stop of solve_stop() fired; false when max_iterations
+  /// ran out first.
   bool converged = false;
 };
 
@@ -119,9 +157,10 @@ class BellmanKernel {
   /// sweeps, one *synchronous* sweep computes the Odoni bounds min/max
   /// (Tv − v) — valid for an arbitrary value vector — so the returned
   /// [gain_lo, gain_hi] carries the same guarantee as value_iteration's.
-  /// `iterations` counts both sweep kinds. On the selfish-mining models it
-  /// takes about as many sweeps as value_iteration: an `analyze` at
-  /// d=3,f=2 takes 751 (vi) vs 759 (gs) solver iterations. In-place
+  /// `iterations` counts both sweep kinds. Every stop of solve_stop() is
+  /// tested on the synchronous sweeps only. On the selfish-mining models
+  /// it takes about as many sweeps as value_iteration: an `analyze` at
+  /// d=3,f=2 takes 198 (vi) vs 221 (gs) solver iterations. In-place
   /// sweeps are serial; certification sweeps use `threads`.
   MeanPayoffResult gauss_seidel(double beta,
                                 const MeanPayoffOptions& options = {},

@@ -213,6 +213,21 @@ TEST(Algorithm1, NewtonTakesFewSteps) {
   }
 }
 
+TEST(Algorithm1, SignStopCutsSweeps) {
+  // Each step stops at the first sweep that decides it. Run to width tol
+  // instead, this analysis takes 751 solver iterations; the gate is half
+  // of that, at any thread count, with identical counts.
+  const auto model = selfish::build_model(
+      selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 3, .f = 2, .l = 4});
+  auto options = with_epsilon(1e-3);
+  const auto serial = analysis::analyze(model, options);
+  options.solver.threads = 2;
+  const auto threaded = analysis::analyze(model, options);
+  EXPECT_LE(serial.solver_iterations, 375);
+  EXPECT_EQ(threaded.solver_iterations, serial.solver_iterations);
+  expect_contract(serial, 1e-3, "d=3 f=2");
+}
+
 TEST(Algorithm1, NewtonCertifiesAtOnceWithoutResources) {
   // p = 0: the adversary never finalizes a block, so the first solve's
   // strategy has ratio 0 and its gain at ε/2 is already negative.

@@ -83,18 +83,19 @@ TEST(EngineKeys, PinAllInputsAndLineage) {
   EXPECT_NE(engine::analysis_chain_id(job), engine::analysis_chain_id(other));
 }
 
-TEST(EngineKeys, SaltV5InvalidatesPowerIterationCaches) {
-  // The Gauss–Seidel exact ERRev shipped with a salt bump 4→5: every
-  // canonical key must carry the v5 prefix (so all entries whose β_lo came
-  // from power iteration miss cleanly) and must never render the old one.
-  EXPECT_EQ(engine::kCodeVersionSalt, 5u);
+TEST(EngineKeys, SaltV6InvalidatesFullWidthSolveCaches) {
+  // The sign-deciding solve stop shipped with a salt bump 5→6: every
+  // canonical key must carry the v6 prefix (so all entries whose strategy
+  // came from a solve run to width tol miss cleanly) and must never render
+  // the old one.
+  EXPECT_EQ(engine::kCodeVersionSalt, 6u);
   engine::AnalysisJob job;
   job.params = base_params();
   job.params.p = 0.2;
   job.options = quick_options();
   const engine::JobKey key = engine::analysis_job_key(job, nullptr);
-  EXPECT_EQ(key.canonical.rfind("analysis/v5|", 0), 0u) << key.canonical;
-  EXPECT_EQ(key.canonical.find("analysis/v4"), std::string::npos);
+  EXPECT_EQ(key.canonical.rfind("analysis/v6|", 0), 0u) << key.canonical;
+  EXPECT_EQ(key.canonical.find("analysis/v5"), std::string::npos);
 }
 
 TEST(EngineKeys, ExactEvaluationFlagIsNotPartOfTheIdentity) {
@@ -122,18 +123,18 @@ TEST(EngineKeys, CanonicalKeysArePinnedExactly) {
   job.params.p = 0.2;
   const engine::JobKey vi = engine::analysis_job_key(job, nullptr);
   EXPECT_EQ(vi.canonical,
-            "analysis/v5|gamma=0.5|d=2|f=1|l=4|burn=0|eps=0.001|solver=vi|"
+            "analysis/v6|gamma=0.5|d=2|f=1|l=4|burn=0|eps=0.001|solver=vi|"
             "sweep=ordered|tol=9.9999999999999995e-08|maxit=2000000|"
             "tau=0.5|p=0.20000000000000001|warm=cold");
-  EXPECT_EQ(vi.hex(), "0646159eac81d524");
+  EXPECT_EQ(vi.hex(), "81db791dd5befced");
 
   job.options.solver.method = mdp::SolverMethod::kGaussSeidel;
   const engine::JobKey gs = engine::analysis_job_key(job, nullptr);
   EXPECT_EQ(gs.canonical,
-            "analysis/v5|gamma=0.5|d=2|f=1|l=4|burn=0|eps=0.001|solver=gs|"
+            "analysis/v6|gamma=0.5|d=2|f=1|l=4|burn=0|eps=0.001|solver=gs|"
             "sweep=ordered|tol=9.9999999999999995e-08|maxit=2000000|"
             "tau=0.5|p=0.20000000000000001|warm=cold");
-  EXPECT_EQ(gs.hex(), "318098098f3437ad");
+  EXPECT_EQ(gs.hex(), "f512c70758a644d8");
 
   // The byte-identical speed knob must not change stored identities.
   engine::AnalysisJob tuned = job;

@@ -81,9 +81,9 @@ TEST(GoldenValues, DeepConfigurationAtGammaHalf) {
   options.epsilon = 1e-3;
   const auto result = analysis::analyze(model, options);
   EXPECT_NEAR(result.errev_of_policy, 0.49616, 1e-3);
-  // The strategy's exact ERRev to twelve digits: the value a power
-  // iteration run to tol 1e-15 reaches.
-  EXPECT_NEAR(result.errev_of_policy, 0.496157609090918, 1e-12);
+  // The strategy's exact ERRev to twelve digits: the Gauss–Seidel
+  // stationary ratio, which the checker below re-derives in long double.
+  EXPECT_NEAR(result.errev_of_policy, 0.49615955889649543, 1e-12);
   certify::expect_certified_answer(model.mdp, result, "d=3 f=2");
 }
 

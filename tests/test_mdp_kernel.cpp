@@ -6,9 +6,11 @@
 // `ctest -LE stochastic` stage of every CI leg.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "analysis/algorithm1.hpp"
+#include "analysis/errev.hpp"
 #include "certify.hpp"
 #include "mdp/dense_solver.hpp"
 #include "mdp/solve.hpp"
@@ -197,6 +199,67 @@ TEST(BellmanKernel, AnalyzeThreadCountInvariant) {
   EXPECT_EQ(threaded.errev_of_policy, serial.errev_of_policy);
   EXPECT_EQ(threaded.policy, serial.policy);
   EXPECT_TRUE(same_bytes(threaded.final_values, serial.final_values));
+}
+
+TEST(BellmanKernel, DecisionStopIsSound) {
+  // Under decide_sign a solve may stop with a wide interval; what it
+  // returns must still carry the decision Algorithm 1 draws from it. A
+  // sign stop is confirmed negative by the checker on the returned
+  // values; after a Newton stop the returned strategy's own gain is
+  // positive, so its exact ERRev lies past β. Probed on both sides of
+  // ERRev*, far (±0.02) and at the search's overshoot (±ε/2).
+  constexpr double kEpsilon = 1e-3;
+  for (const auto& [d, f] : {std::pair{2, 2}, {3, 2}}) {
+    const auto model = build(d, f);
+    const mdp::Mdp& m = model.mdp;
+    const mdp::BellmanKernel kernel(m);
+    analysis::AnalysisOptions analysis_options;
+    analysis_options.epsilon = kEpsilon;
+    const double root = analysis::analyze(model, analysis_options).beta_lo;
+    for (const bool vi : {true, false}) {
+      const auto solve = [&](double beta, const mdp::MeanPayoffOptions& o,
+                             int threads) {
+        return vi ? kernel.value_iteration(beta, o, nullptr, threads)
+                  : kernel.gauss_seidel(beta, o, nullptr, threads);
+      };
+      for (const double offset :
+           {-0.02, -0.5 * kEpsilon, 0.5 * kEpsilon, 0.02}) {
+        const double beta = root + offset;
+        const std::string label =
+            std::string(vi ? "vi" : "gs") + " d=" + std::to_string(d) +
+            " f=" + std::to_string(f) + " beta=" + std::to_string(beta);
+        const mdp::MeanPayoffOptions full;  // decide_sign = false
+        const auto w = solve(beta, full, 1);
+        ASSERT_TRUE(w.converged) << label;
+        EXPECT_LT(w.gain_hi - w.gain_lo, full.tol) << label;
+        expect_identical(solve(beta, full, 4), w, "4 threads full " + label);
+
+        mdp::MeanPayoffOptions decide;
+        decide.decide_sign = true;
+        const auto r = solve(beta, decide, 1);
+        ASSERT_TRUE(r.converged) << label;
+        expect_identical(solve(beta, decide, 4), r, "4 threads " + label);
+        if (std::abs(offset) == 0.02) {
+          // Far from the root the decision comes before the width stop.
+          EXPECT_EQ(mdp::solve_stop(r.gain_lo, r.gain_hi, decide),
+                    offset > 0.0 ? mdp::SolveStop::kSign
+                                 : mdp::SolveStop::kNewton)
+              << label;
+          EXPECT_LT(r.iterations, w.iterations) << label;
+        }
+        if (r.gain_hi < 0.0) {
+          EXPECT_LT(mdp::check_gain_bracket(m, beta, r.values, r.policy).hi,
+                    0.0L)
+              << label;
+        }
+        if (r.gain_lo > 0.0) {
+          EXPECT_GT(certify::stationary_of(m, r.policy).gain(beta), 0.0L)
+              << label;
+          EXPECT_GT(analysis::exact_errev(model, r.policy), beta) << label;
+        }
+      }
+    }
+  }
 }
 
 TEST(BellmanKernel, NonConvergedRunStillReturnsConsistentPolicy) {

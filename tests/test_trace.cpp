@@ -288,14 +288,19 @@ TEST(AnalysisSpans, OneStepSpanPerSolveTellsTheSearch) {
         << where;
     std::set<std::string> seen;
     for (std::size_t i = 0; i < steps.size(); ++i) {
-      for (const char* key : {"beta", "gain_lo", "gain_hi", "sweeps"}) {
-        EXPECT_NE(steps[i].find(key), nullptr) << where << " step " << i;
+      for (const char* key : {"beta", "gain_lo", "gain_hi", "sweeps", "stop"}) {
+        ASSERT_NE(steps[i].find(key), nullptr) << where << " step " << i;
       }
       const std::string decision = steps[i].find("decision")->as_string();
+      const std::string stop = steps[i].find("stop")->as_string();
       seen.insert(decision);
+      // A tighten follows a step that only the width stop ended: a Newton
+      // stop's strategy always lands past b.
+      if (decision == "tighten") EXPECT_EQ(stop, "width") << where;
       if (i + 1 == steps.size()) {
         EXPECT_EQ(decision, "certify") << where;
         EXPECT_EQ(steps[i].find("beta")->as_number(), result.beta_hi);
+        if (!must_tighten) EXPECT_EQ(stop, "sign") << where;
       } else {
         EXPECT_TRUE(decision == "newton" || decision == "tighten")
             << where << " step " << i << ": " << decision;
